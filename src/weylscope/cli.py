@@ -13,9 +13,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,21 +25,15 @@ from .numerics import ContourSpec, matrix_norm2
 DEFAULT_SEED = 1729
 
 
-def _threads() -> int:
-    raw = os.environ.get("WEYL_SCOPE_THREADS", "")
+@contextmanager
+def _decoding(what):
+    """Report a malformed model, grid, contour or triple as a config error."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    items = list(items)
-    workers = _threads()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield
+    except KeyError as exc:
+        raise ConfigInvalidError(f"invalid {what}: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigInvalidError(f"invalid {what}: {exc}") from exc
 
 
 def _load_json(path):
@@ -199,10 +192,8 @@ def run_check(config, out_path, seed, tol_override):
 
     if "triple" in config:
         data = _load_json(config["triple"])
-        try:
+        with _decoding("triple file"):
             tr_list = [triples.triple_from_dict(data)]
-        except (ValueError, KeyError) as exc:
-            raise ConfigInvalidError(f"invalid triple file: {exc}") from exc
     else:
         tr_list = [
             triples.random_triple(rng, state_dim=6, h=2, k=2),
@@ -229,96 +220,54 @@ def run_check(config, out_path, seed, tol_override):
 # ------------------------------------------------------------------ run: scan
 
 
-def _scan_hainlust(model_data, config):
-    model = hainlust.model_from_dict(model_data)
+def _scan_grid(config, re_default, eps_default):
+    """The grid object of a scan config, its real-part points and its eps values."""
     grid = config.get("grid", {})
-    re_lo, re_hi, re_n = grid.get("re", [0.0, 5.0, 20])
-    eps_values = grid.get("eps", [1e-1, 1e-2, 1e-3])
-    fd_n = int(grid.get("fd_n", 128))
-    re_points = np.linspace(re_lo, re_hi, int(re_n))
+    with _decoding("grid"):
+        re_lo, re_hi, re_n = grid.get("re", re_default)
+        re_points = np.linspace(re_lo, re_hi, int(re_n))
+        eps_values = [float(e) for e in grid.get("eps", eps_default)]
+    return grid, re_points, eps_values
 
-    jumps = {}
-    mat, meta = hainlust.discretize(model, fd_n)
-    proj = np.concatenate(
-        [np.ones(meta["nodes"].size), meta["support_mask"].astype(float)]
-    )
-    sing = model.essran_on_support()
 
-    def jump_stats(args):
-        x0, eps = args
-        lam = complex(x0, eps)
-        if hainlust.interval_set_distance(lam, sing) <= 1e-3 - 1e-15:
-            return (np.nan, np.nan)
-        rp = np.linalg.solve(mat - lam * np.eye(mat.shape[0]),
-                             np.eye(mat.shape[0], dtype=complex))
-        rm = np.linalg.solve(mat - np.conj(lam) * np.eye(mat.shape[0]),
-                             np.eye(mat.shape[0], dtype=complex))
-        diff = rp - rm
-        return (matrix_norm2(diff), matrix_norm2(proj[:, None] * diff * proj[None, :]))
-
-    pairs = [(x0, abs(e)) for x0 in re_points for e in sorted({abs(v) for v in eps_values})]
-    for (x0, eps), stats in zip(pairs, _map(jump_stats, pairs)):
-        jumps[(x0, eps)] = stats
-
-    def row(args):
-        x0, eps = args
-        lam = complex(x0, eps)
-        try:
-            res = hainlust.shoot(model, lam)
-            cot_b = 1.0 / np.tan(model.beta)
-            den = res.dy2_at_1 + cot_b * res.y2_at_1
-            den_abs = abs(den)
-            if den_abs < 1e-12:
-                raise WeylScopeError("at eigenvalue")
-            sa, ca = np.sin(model.alpha), np.cos(model.alpha)
-            m11 = -res.y2_at_1 / den
-            m12 = sa / den
-            m22 = sa * ca + sa * sa * (res.dy1_at_1 + cot_b * res.y1_at_1) / den
-            mvals = [m11, m12, m12, m22]
-        except WeylScopeError:
-            mvals = [complex(np.nan, np.nan)] * 4
-            den_abs = np.nan
-        fj, bj = jumps[(x0, abs(eps))]
-        out = [x0, eps]
-        for v in mvals:
-            out.extend([v.real, v.imag])
-        out.extend([den_abs, fj, bj])
-        return out
-
-    points = [(x0, e) for x0 in re_points for e in eps_values]
+def _scan_hainlust(model_data, config):
+    with _decoding("hainlust model"):
+        model = hainlust.model_from_dict(model_data)
+    grid, re_points, eps_values = _scan_grid(config, [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3])
+    with _decoding("grid"):
+        fd_n = int(grid.get("fd_n", 128))
     header = ["re_lambda", "im_lambda", "m11_re", "m11_im", "m12_re", "m12_im",
               "m21_re", "m21_im", "m22_re", "m22_im", "denom_abs", "full_jump",
               "bordered_jump"]
-    return header, _map(row, points)
+    return header, hainlust.scan_rows(model, re_points, eps_values, fd_n)
 
 
 def _scan_friedrichs(model_data, config):
-    model = friedrichs.model_from_dict(model_data)
-    grid = config.get("grid", {})
-    re_lo, re_hi, re_n = grid.get("re", [-3.0, 3.0, 25])
-    eps_values = grid.get("eps", [1e-1, 1e-2, 1e-3])
-    rows = friedrichs.m_scan(model, np.linspace(re_lo, re_hi, int(re_n)), eps_values)
+    with _decoding("friedrichs model"):
+        model = friedrichs.model_from_dict(model_data)
+    _, re_points, eps_values = _scan_grid(config, [-3.0, 3.0, 25], [1e-1, 1e-2, 1e-3])
+    rows = friedrichs.m_scan(model, re_points, eps_values)
     header = ["re_lambda", "im_lambda", "re_M", "im_M", "abs_D", "bracket_abs"]
     return header, rows
 
 
 def _scan_firstorder(model_data, config):
-    b = model_data.get("B", [1.0, 0.0])
-    grid_cfg = model_data.get("grid", {})
-    model = firstorder.FOModel(
-        bparam=complex(b[0], b[1]),
-        grid=firstorder.HalfLineGrid(
-            length=float(grid_cfg.get("length", 40.0)),
-            n=int(grid_cfg.get("n", 4096)),
-        ),
-    )
-    grid = config.get("grid", {})
-    re_lo, re_hi, re_n = grid.get("re", [0.0, 2.0, 10])
-    eps_values = grid.get("eps", [0.5, 0.125, 0.03125])
-    decay = float(grid.get("rhs_decay", 1.0))
+    with _decoding("firstorder model"):
+        b = model_data.get("B", [1.0, 0.0])
+        grid_cfg = model_data.get("grid", {})
+        model = firstorder.FOModel(
+            bparam=complex(b[0], b[1]),
+            grid=firstorder.HalfLineGrid(
+                length=float(grid_cfg.get("length", 40.0)),
+                n=int(grid_cfg.get("n", 4096)),
+            ),
+        )
+    grid, re_points, eps_values = _scan_grid(config, [0.0, 2.0, 10],
+                                             [0.5, 0.125, 0.03125])
+    with _decoding("grid"):
+        decay = float(grid.get("rhs_decay", 1.0))
     g = np.exp(-decay * model.grid.nodes)
-    lams = [complex(x0, -abs(e)) for x0 in np.linspace(re_lo, re_hi, int(re_n))
-            for e in eps_values]
+    lams = [complex(x0, -abs(e)) for x0 in re_points for e in eps_values]
     header = ["re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im"]
     return header, firstorder.scan_rows(model, lams, g)
 
@@ -356,24 +305,26 @@ def run_eig(config, out_path, seed, tol_override):
     model_data = _resolve_model(config)
     kind = model_data.get("type") or model_data.get("schema")
     if kind == "hainlust":
-        model = hainlust.model_from_dict(model_data)
+        with _decoding("hainlust model"):
+            model = hainlust.model_from_dict(model_data)
         region = config.get("region")
         if not region or len(region) != 4:
             raise ConfigInvalidError("eig needs 'region': [re_lo, re_hi, im_lo, im_hi]")
-        vals = hainlust.eigenvalues_in(model, *[float(v) for v in region])
+        with _decoding("region"):
+            region = [float(v) for v in region]
+        vals = hainlust.eigenvalues_in(model, *region)
     elif kind == "triple-v1":
-        try:
+        with _decoding("triple file"):
             tr = triples.triple_from_dict(model_data)
-        except (ValueError, KeyError) as exc:
-            raise ConfigInvalidError(f"invalid triple file: {exc}") from exc
         rng = np.random.default_rng(seed)
         bp = config.get("bparam")
         if bp is not None:
-            bparam = np.array([[complex(re, im) for re, im in row] for row in bp])
+            with _decoding("bparam"):
+                ext = triples.Extension(
+                    tr, np.array([[complex(re, im) for re, im in row] for row in bp]))
         else:
-            bparam = triples.random_extension(rng, tr).bparam
-        vals = sorted(triples.extension_eigenvalues(triples.Extension(tr, bparam)),
-                      key=lambda z: (z.real, z.imag))
+            ext = triples.random_extension(rng, tr)
+        vals = sorted(triples.extension_eigenvalues(ext), key=lambda z: (z.real, z.imag))
     else:
         raise ModelUnknownError(f"eigenvalues unsupported for model type {kind!r}")
     payload = {
@@ -390,25 +341,26 @@ def run_eig(config, out_path, seed, tol_override):
 def run_contour(config, out_path, seed, tol_override):
     rng = np.random.default_rng(seed)
     if "triple" in config:
-        try:
-            tr = triples.triple_from_dict(_load_json(config["triple"]))
-        except (ValueError, KeyError) as exc:
-            raise ConfigInvalidError(f"invalid triple file: {exc}") from exc
+        data = _load_json(config["triple"])
+        with _decoding("triple file"):
+            tr = triples.triple_from_dict(data)
     else:
         tr = triples.random_triple(rng, state_dim=4, h=1, k=1)
     hidden = config.get("hidden")
     base_ext = triples.random_extension(rng, tr)
     if hidden is not None:
-        tr = triples.direct_sum_hidden(
-            tr, np.array([[complex(*v) for v in row] for row in hidden])
-        )
+        with _decoding("hidden block"):
+            tr = triples.direct_sum_hidden(
+                tr, np.array([[complex(*v) for v in row] for row in hidden])
+            )
     ext = triples.Extension(tr, base_ext.bparam)
     cfg = config.get("contour", {})
-    contour = ContourSpec(
-        center=complex(*cfg.get("center", [25.0, 0.0])),
-        radius=float(cfg.get("radius", 1.0)),
-        nodes=int(cfg.get("nodes", 64)),
-    )
+    with _decoding("contour"):
+        contour = ContourSpec(
+            center=complex(*cfg.get("center", [25.0, 0.0])),
+            radius=float(cfg.get("radius", 1.0)),
+            nodes=int(cfg.get("nodes", 64)),
+        )
     spec = detect.saturated_sampling(ext)
     s_space = detect.build_resolvent_space(ext, spec)
     s_adj, _ = detect.build_adjoint_spaces(ext, spec)
@@ -426,7 +378,8 @@ def run_example(config, out_path, seed, tol_override):
     name = config.get("example")
     if name == "ex1":
         b = config.get("B", [0.0, 0.0])
-        bparam = complex(b[0], b[1])
+        with _decoding("example"):
+            bparam = complex(b[0], b[1])
         model = friedrichs.FriedrichsModel(
             phi=friedrichs.RationalH2(poles=(-1j,), residues=(1.0,)),
             psi=friedrichs.RationalH2(poles=(-2j,), residues=(1.0,)),
@@ -459,12 +412,16 @@ def run_example(config, out_path, seed, tol_override):
         lam0 = config.get("lam0")
         if lam0 is None:
             lam0 = [0.0, -1.0] if name == "ex2-lower" else [0.0, 2.0]
-        payload = friedrichs.example_eigenvalue_not_pole(lam0=complex(*lam0))
+        with _decoding("example"):
+            lam0 = complex(*lam0)
+        if abs(lam0.imag) <= friedrichs._REAL_AXIS_TOL:
+            raise ConfigInvalidError(f"invalid example: lam0 must be nonreal, got {lam0}")
+        payload = friedrichs.example_eigenvalue_not_pole(lam0=lam0)
         payload.update({"command": "example", "example": name})
     elif name == "ex3":
-        payload = friedrichs.example_embedded_eigenvalue(
-            bparam=float(config.get("B", 0.0))
-        )
+        with _decoding("example"):
+            bparam = float(config.get("B", 0.0))
+        payload = friedrichs.example_embedded_eigenvalue(bparam=bparam)
         payload.update({"command": "example", "example": "ex3"})
     else:
         raise ConfigInvalidError(f"unknown example {name!r}")
@@ -500,7 +457,8 @@ def main(argv=None) -> int:
         config = _load_json(args.config) if args.config else {}
         if not isinstance(config, dict):
             raise ConfigInvalidError("config root must be a JSON object")
-        seed = args.seed if args.seed is not None else int(config.get("seed", DEFAULT_SEED))
+        with _decoding("seed"):
+            seed = args.seed if args.seed is not None else int(config.get("seed", DEFAULT_SEED))
         if args.command == "example" and "example" not in config:
             raise ConfigInvalidError("example command needs 'example' in the config")
         return _COMMANDS[args.command](config, args.out, seed, args.tol)

@@ -10,7 +10,6 @@ real axis where the resolvent blows up although the M-function stays zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +114,3 @@ def scan_rows(model: FOModel, lams, g: np.ndarray):
         out.append((lam.real, lam.imag, nrm, mv.real, mv.imag))
     return out
 
-
-def write_scan_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im"])
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -31,6 +31,7 @@ from .errors import (
     LambdaInSpectrumError,
     NoConvergenceError,
     ToleranceNotMetError,
+    WeylScopeError,
 )
 from .numerics import matrix_norm2
 
@@ -366,12 +367,8 @@ def bc_denominator(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -
     return res.dy2_at_1 + res.y2_at_1 / np.tan(model.beta)
 
 
-def m_matrix(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> np.ndarray:
-    """The symmetric 2x2 M-matrix at lam.
-
-    Raises AtEigenvalueError when the shared denominator vanishes, i.e.
-    exactly when lam is an eigenvalue of the restriction.
-    """
+def _shoot_m(model: HLModel, lam: complex, tol: float):
+    """Shoot once at lam; return the 2x2 M-matrix and the boundary denominator."""
     res = shoot(model, lam, tol)
     cot_b = 1.0 / np.tan(model.beta)
     den = res.dy2_at_1 + cot_b * res.y2_at_1
@@ -381,7 +378,16 @@ def m_matrix(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> np.n
     m11 = -res.y2_at_1 / den
     m12 = sa / den
     m22 = sa * ca + sa * sa * (res.dy1_at_1 + cot_b * res.y1_at_1) / den
-    return np.array([[m11, m12], [m12, m22]], dtype=complex)
+    return np.array([[m11, m12], [m12, m22]], dtype=complex), den
+
+
+def m_matrix(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> np.ndarray:
+    """The symmetric 2x2 M-matrix at lam.
+
+    Raises AtEigenvalueError when the shared denominator vanishes, i.e.
+    exactly when lam is an eigenvalue of the restriction.
+    """
+    return _shoot_m(model, lam, tol)[0]
 
 
 # -------------------------------------------------------- eigenvalue location
@@ -597,6 +603,12 @@ def _resolvent_dense(mat, lam):
         raise LambdaInSpectrumError(str(exc)) from exc
 
 
+def _jump_norms(mat, proj, lam):
+    """Norms of R(lam) - R(conj lam), uncompressed and compressed by diag(proj)."""
+    jump = _resolvent_dense(mat, lam) - _resolvent_dense(mat, np.conj(lam))
+    return matrix_norm2(jump), matrix_norm2(proj[:, None] * jump * proj[None, :])
+
+
 def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
     """Two-sided resolvent jumps across the real axis at the given points.
 
@@ -617,11 +629,7 @@ def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
                 raise GridHitsEssranWError(
                     f"scan point {lam} within 1e-3 of the singular set"
                 )
-            r_plus = _resolvent_dense(mat, lam)
-            r_minus = _resolvent_dense(mat, np.conj(lam))
-            jump = r_plus - r_minus
-            full = matrix_norm2(jump)
-            bordered = matrix_norm2(p[:, None] * jump * p[None, :])
+            full, bordered = _jump_norms(mat, p, lam)
             rows.append(
                 {
                     "re_lambda": float(x0),
@@ -630,6 +638,44 @@ def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
                     "bordered_jump": bordered,
                 }
             )
+    return rows
+
+
+def scan_rows(model: HLModel, re_points, eps_values, n: int):
+    """Rows of M-matrix entries, |denominator| and jump norms over a grid.
+
+    One row per (re, eps), in grid order: re, eps, the real and imaginary
+    parts of m11, m12, m21, m22, |denominator|, full jump, bordered jump.
+    M entries and |denominator| are NaN where shooting fails; jumps are NaN
+    within 1e-3 of the singular set.  The jumps use the n-point
+    discretization, depend on |eps| only and are computed once per
+    (re, |eps|).
+    """
+    sing = model.essran_on_support()
+    mat, meta = discretize(model, n)
+    p = _projector_diag(meta)
+    nan = complex(np.nan, np.nan)
+    rows = []
+    for x0 in re_points:
+        jumps = {}
+        for eps in eps_values:
+            height = abs(eps)
+            if height not in jumps:
+                lam = complex(x0, height)
+                if interval_set_distance(lam, sing) <= 1e-3 - 1e-15:
+                    jumps[height] = (np.nan, np.nan)
+                else:
+                    jumps[height] = _jump_norms(mat, p, lam)
+            try:
+                m, den = _shoot_m(model, complex(x0, eps), DEFAULT_ODE_TOL)
+                mvals, den_abs = m.ravel(), abs(den)
+            except WeylScopeError:
+                mvals, den_abs = (nan,) * 4, np.nan
+            row = [x0, eps]
+            for v in mvals:
+                row.extend([v.real, v.imag])
+            row.extend([den_abs, *jumps[height]])
+            rows.append(row)
     return rows
 
 

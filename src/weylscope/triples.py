@@ -315,17 +315,6 @@ def _stacked(ext: Extension, lam: complex) -> np.ndarray:
     return np.vstack([_action_minus(ext.triple, lam), ext.constraint])
 
 
-def stacked_min_sv(ext: Extension, lam: complex) -> float:
-    """Smallest singular value of the constrained system, relative to its norm.
-
-    The spectrum of the restriction is exactly the set of lam where this
-    vanishes; membership is decided against SPECTRUM_SV_TOL.
-    """
-    mat = _stacked(ext, lam)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return float(sv[-1] / max(sv[0], 1e-300))
-
-
 def _solve_stacked(ext: Extension, lam: complex, top: np.ndarray, bottom: np.ndarray):
     mat = _stacked(ext, lam)
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -469,16 +458,6 @@ def krein_residual(ext_b: Extension, ext_c: Extension, lam: complex) -> float:
     correction = sol_c @ (np.eye(tr.h) + diff @ mb) @ (-diff) @ (tr.bnd2 @ coords_c)
     gap = rb - (rc - correction)
     return float(np.linalg.norm(gap, 2))
-
-
-def krein_correction(ext_b: Extension, ext_c: Extension, lam: complex) -> np.ndarray:
-    """The correction term of the resolvent formula, as an m x m matrix."""
-    tr = ext_b.triple
-    coords_c, _ = resolvent_matrices(ext_c, lam)
-    sol_c = tr.values(solution_basis(ext_c, lam))
-    mb = m_function(ext_b, lam)
-    diff = ext_b.bparam - ext_c.bparam
-    return sol_c @ (np.eye(tr.h) + diff @ mb) @ (-diff) @ (tr.bnd2 @ coords_c)
 
 
 def _same_triple(a: FiniteTriple, b: FiniteTriple) -> bool:

@@ -124,6 +124,32 @@ def test_scan_rerun_byte_identical(tmp_path, step_model_dict):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _drop(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("command, make_config", [
+    ("scan", lambda m: {"model": _drop(m, "q")}),
+    ("eig", lambda m: {"model": _drop(m, "q"), "region": [0.5, 15.0, -1.0, 1.0]}),
+    ("scan", lambda m: {"model": {**m, "alpha": 0.0}}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [0.0, 5.0]}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[1.0, 0.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"n": 4}}}),
+    ("contour", lambda m: {"contour": {"radius": -1}}),
+    ("example", lambda m: {"example": "ex2-lower", "lam0": [1, 0]}),
+], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
+        "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
+        "ex2-real-lam0"])
+def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, make_config(step_model_dict))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eig_hainlust_region(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {

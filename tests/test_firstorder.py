@@ -164,13 +164,3 @@ def test_scan_rows_shape(model):
     assert len(rows) == 2 and len(rows[0]) == 5
     assert rows[0][3] == 0.0 and rows[0][4] == 0.0
 
-
-def test_write_scan_csv(model, tmp_path):
-    from weylscope.firstorder import write_scan_csv
-
-    rows = scan_rows(model, [-1j], np.exp(-model.grid.nodes))
-    path = tmp_path / "scan.csv"
-    write_scan_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re_lambda,im_lambda,resolvent_norm,m_value_re,m_value_im"
-    assert len(lines) == 2

@@ -20,6 +20,7 @@ from weylscope.hainlust import (
     model_from_dict,
     model_to_dict,
     reducing_residual,
+    scan_rows,
     schroedinger_block_resolvent,
     shoot,
 )
@@ -274,6 +275,25 @@ def test_bordered_scan_sees_coupled_essran():
 def test_bordered_scan_guards_distance():
     with pytest.raises(GridHitsEssranWError):
         bordered_scan(step_model(), [2.0], [1e-4], n=64)
+
+
+def test_scan_rows_match_m_matrix_and_bordered_scan():
+    model = step_model()
+    eps_values = [0.1, -0.1, 0.05, 0.05, 5e-4]
+    rows = np.array(scan_rows(model, [1.5, 2.0, 3.0], eps_values, n=64))
+    assert rows.shape == (15, 13)
+    singular = (rows[:, 0] == 2.0) & (rows[:, 1] == 5e-4)
+    assert singular.sum() == 1
+    assert np.isnan(rows[singular, 11:]).all()
+    assert not np.isnan(rows[~singular, 11:]).any()
+    assert not np.isnan(rows[:, :11]).any()
+    np.testing.assert_array_equal(rows[:, 6:8], rows[:, 4:6])  # m21 == m12
+    for row in rows:
+        m = m_matrix(model, complex(row[0], row[1]))
+        assert list(row[2:10]) == [v for z in m.ravel() for v in (z.real, z.imag)]
+    for row in rows[~singular]:
+        (ref,) = bordered_scan(model, [row[0]], [abs(row[1])], n=64)
+        assert (row[11], row[12]) == (ref["full_jump"], ref["bordered_jump"])
 
 
 def test_bordered_reduces_to_schroedinger_block_when_uncoupled():
