@@ -1,6 +1,6 @@
 """weylscope: numerical checks for Weyl M-functions of adjoint operator pairs."""
 
-from .numerics import ContourSpec, contour_integral, eig_dense, orthonormal_basis, principal_angles, real_line_quadrature, solve_linear
+from .numerics import ContourSpec, contour_integral, orthonormal_basis, principal_angles, real_line_quadrature
 from .triples import Extension, FiniteTriple, adjoint_extension, direct_sum_hidden, green_residual, hilbert_identity_residual, krein_residual, m_function, m_via_resolvent, make_triple, random_extension, random_triple, resolvent_apply, solution_operator
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __all__ = [
     "adjoint_extension",
     "contour_integral",
     "direct_sum_hidden",
-    "eig_dense",
     "green_residual",
     "hilbert_identity_residual",
     "krein_residual",
@@ -26,5 +25,4 @@ __all__ = [
     "real_line_quadrature",
     "resolvent_apply",
     "solution_operator",
-    "solve_linear",
 ]

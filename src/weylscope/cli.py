@@ -236,6 +236,8 @@ def _scan_hainlust(model_data, config):
     grid, re_points, eps_values = _scan_grid(config, [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3])
     with _decoding("grid"):
         fd_n = int(grid.get("fd_n", 128))
+        if fd_n < hainlust.MIN_FD_N:
+            raise ValueError(f"fd_n must be at least {hainlust.MIN_FD_N}")
     header = ["re_lambda", "im_lambda", "m11_re", "m11_im", "m12_re", "m12_im",
               "m21_re", "m21_im", "m22_re", "m22_im", "denom_abs", "full_jump",
               "bordered_jump"]

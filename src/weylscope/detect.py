@@ -12,6 +12,7 @@ check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,11 @@ from .triples import (
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 SPECTRUM_CLEARANCE = 1e-6
+CONTOUR_CLEARANCE = 1e-4
+# saturated_sampling: initial points, rank-stable additions to accept, point cap
+SATURATION_START = 12
+SATURATION_STABLE_RUNS = 8
+SATURATION_MAX_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -51,31 +57,38 @@ class SpaceSamplingSpec:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal columns spanning one detection space, with its provenance."""
+    """Orthonormal columns spanning one detection space."""
 
     basis: np.ndarray
     side: str  # 'solution' | 'resolvent' | 'solution-adjoint' | 'resolvent-adjoint'
-    spec: SpaceSamplingSpec
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
 
-def _check_samples(ext: Extension, points, what: str):
+def _near_spectrum(ext: Extension, points, clearance: float):
+    """The first point within clearance of the restriction's spectrum, or None."""
     eigs = extension_eigenvalues(ext)
-    if eigs.size == 0:
-        return
-    for z in points:
-        if np.min(np.abs(eigs - z)) <= SPECTRUM_CLEARANCE:
-            raise SampleInSpectrumError(f"{what} point {z} is within 1e-6 of the spectrum")
+    if eigs.size:
+        for z in points:
+            if np.min(np.abs(eigs - z)) <= clearance:
+                return z
+    return None
 
 
-def default_sampling(ext: Extension, n_per_circle: int = 12, extra: int = 0) -> SpaceSamplingSpec:
-    """Deterministic sampling plan: points on two circles enclosing the spectrum.
+def _check_samples(ext: Extension, points, what: str):
+    z = _near_spectrum(ext, points, SPECTRUM_CLEARANCE)
+    if z is not None:
+        raise SampleInSpectrumError(f"{what} point {z} is within 1e-6 of the spectrum")
 
-    Golden-angle placement keeps added points from aliasing.  extra appends
-    more points (used by the saturation loop).
+
+def _sample_stream(ext: Extension):
+    """(anchor, endless iterator of sample points) for the restriction.
+
+    Points alternate between two circles enclosing the spectrum at
+    golden-angle steps, which keeps added points from aliasing; a point
+    close to an eigenvalue is nudged along its circle.
     """
     eigs = extension_eigenvalues(ext)
     if eigs.size:
@@ -84,38 +97,44 @@ def default_sampling(ext: Extension, n_per_circle: int = 12, extra: int = 0) -> 
     else:
         center, spread = 0.0, 0.0
     radii = (spread + 1.0, 2.0 * (spread + 1.0))
-    pts = []
-    total = 2 * n_per_circle + extra
-    for j in range(total):
-        r = radii[j % 2]
-        ang = GOLDEN_ANGLE * j
-        z = center + r * np.exp(1j * ang)
-        if eigs.size:
-            bump = 0
-            while np.min(np.abs(eigs - z)) <= 10 * SPECTRUM_CLEARANCE and bump < 50:
-                ang += 1e-3
-                z = center + r * np.exp(1j * ang)
-                bump += 1
-        pts.append(complex(z))
     anchor = complex(center + 1.37j * radii[1])
     if eigs.size and np.min(np.abs(eigs - anchor)) <= 10 * SPECTRUM_CLEARANCE:
         anchor = complex(center + 1.61j * radii[1])
-    return SpaceSamplingSpec(
-        anchor=anchor, resolvent_samples=tuple(pts), solution_samples=tuple(pts)
-    )
+
+    def points():
+        for j in itertools.count():
+            r = radii[j % 2]
+            ang = GOLDEN_ANGLE * j
+            z = center + r * np.exp(1j * ang)
+            if eigs.size:
+                bump = 0
+                while np.min(np.abs(eigs - z)) <= 10 * SPECTRUM_CLEARANCE and bump < 50:
+                    ang += 1e-3
+                    z = center + r * np.exp(1j * ang)
+                    bump += 1
+            yield complex(z)
+
+    return anchor, points()
 
 
-def build_solution_space(ext: Extension, spec: SpaceSamplingSpec, tol: float = 1e-10) -> SubspaceBasis:
+def default_sampling(ext: Extension, count: int = 24) -> SpaceSamplingSpec:
+    """Deterministic sampling plan: the first count points of the sample stream."""
+    anchor, stream = _sample_stream(ext)
+    pts = tuple(itertools.islice(stream, count))
+    return SpaceSamplingSpec(anchor=anchor, resolvent_samples=pts, solution_samples=pts)
+
+
+def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
     """Orthonormal basis of the span of solution-operator ranges over the samples."""
     _check_samples(ext, spec.solution_samples, "solution sample")
     _check_samples(ext, (spec.anchor,), "anchor")
     tr = ext.triple
     blocks = [tr.values(solution_basis(ext, mu)) for mu in spec.solution_samples]
     cols = np.hstack(blocks) if blocks else np.zeros((tr.state_dim, 0), dtype=complex)
-    return SubspaceBasis(basis=orthonormal_basis(cols, tol), side="solution", spec=spec)
+    return SubspaceBasis(basis=orthonormal_basis(cols), side="solution")
 
 
-def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec, tol: float = 1e-10) -> SubspaceBasis:
+def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
     """Basis of the span of resolvent images of the anchor solution range."""
     _check_samples(ext, spec.resolvent_samples, "resolvent sample")
     _check_samples(ext, (spec.anchor,), "anchor")
@@ -126,10 +145,10 @@ def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec, tol: float = 
         _, rv = resolvent_matrices(ext, delta)
         blocks.append(rv @ anchor_vals)
     cols = np.hstack(blocks) if blocks else np.zeros((tr.state_dim, 0), dtype=complex)
-    return SubspaceBasis(basis=orthonormal_basis(cols, tol), side="resolvent", spec=spec)
+    return SubspaceBasis(basis=orthonormal_basis(cols), side="resolvent")
 
 
-def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec, tol: float = 1e-10):
+def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec):
     """(resolvent-adjoint, solution-adjoint) bases from the adjoint-side restriction.
 
     The adjoint side is sampled at the conjugated points, which avoid the
@@ -141,39 +160,36 @@ def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec, tol: float = 1
         resolvent_samples=tuple(np.conj(z) for z in spec.resolvent_samples),
         solution_samples=tuple(np.conj(z) for z in spec.solution_samples),
     )
-    s_adj = build_resolvent_space(adj, conj_spec, tol)
-    t_adj = build_solution_space(adj, conj_spec, tol)
+    s_adj = build_resolvent_space(adj, conj_spec)
+    t_adj = build_solution_space(adj, conj_spec)
     return (
-        SubspaceBasis(basis=s_adj.basis, side="resolvent-adjoint", spec=conj_spec),
-        SubspaceBasis(basis=t_adj.basis, side="solution-adjoint", spec=conj_spec),
+        SubspaceBasis(basis=s_adj.basis, side="resolvent-adjoint"),
+        SubspaceBasis(basis=t_adj.basis, side="solution-adjoint"),
     )
 
 
-def saturated_sampling(ext: Extension, start: int = 12, stable_runs: int = 8,
-                       max_points: int = 200, tol: float = 1e-10) -> SpaceSamplingSpec:
+def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
     """Grow the sampling plan until the solution-span rank is stable.
 
-    Points are added one at a time; the plan is accepted once the rank has
-    not moved for stable_runs consecutive additions.
+    Points are taken one at a time from the sample stream, starting from
+    SATURATION_START of them; the plan is accepted once the rank has not
+    moved for SATURATION_STABLE_RUNS consecutive additions, or at
+    SATURATION_MAX_POINTS points.
     """
     tr = ext.triple
-    spec = default_sampling(ext, n_per_circle=start // 2)
-    cols = np.hstack(
-        [tr.values(solution_basis(ext, mu)) for mu in spec.solution_samples]
-    )
-    rank = orthonormal_basis(cols, tol).shape[1]
+    anchor, stream = _sample_stream(ext)
+    pts = list(itertools.islice(stream, SATURATION_START))
+    cols = np.hstack([tr.values(solution_basis(ext, mu)) for mu in pts])
+    rank = orthonormal_basis(cols).shape[1]
     stable = 0
-    extra = 0
-    while stable < stable_runs and len(spec.solution_samples) < max_points:
-        extra += 1
-        grown = default_sampling(ext, n_per_circle=start // 2, extra=extra)
-        new_pt = grown.solution_samples[-1]
-        cols = np.hstack([cols, tr.values(solution_basis(ext, new_pt))])
-        new_rank = orthonormal_basis(cols, tol).shape[1]
+    while stable < SATURATION_STABLE_RUNS and len(pts) < SATURATION_MAX_POINTS:
+        pts.append(next(stream))
+        cols = np.hstack([cols, tr.values(solution_basis(ext, pts[-1]))])
+        new_rank = orthonormal_basis(cols).shape[1]
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank
-        spec = grown
-    return spec
+    return SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
+                             solution_samples=tuple(pts))
 
 
 def invariance_residual(space: SubspaceBasis, ext: Extension, mu: complex) -> float:
@@ -194,20 +210,18 @@ def bordered_resolvent(ext: Extension, lam: complex, left: SubspaceBasis,
 
 
 def morera_residual(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
-                    right: SubspaceBasis, clearance: float = 1e-4) -> float:
+                    right: SubspaceBasis) -> float:
     """Norm of the contour integral of the bordered resolvent.
 
     Vanishes (geometrically in the node count) exactly when the bordered
     resolvent is analytic inside the contour; contour nodes must keep a
-    clearance from the spectrum.
+    clearance (CONTOUR_CLEARANCE) from the spectrum.
     """
-    eigs = extension_eigenvalues(ext)
-    if eigs.size:
-        for z in contour.points():
-            if np.min(np.abs(eigs - z)) <= clearance:
-                raise ContourHitsSpectrumError(
-                    f"contour node {z} within {clearance} of the spectrum"
-                )
+    z = _near_spectrum(ext, contour.points(), CONTOUR_CLEARANCE)
+    if z is not None:
+        raise ContourHitsSpectrumError(
+            f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum"
+        )
     val = contour_integral(lambda z: bordered_resolvent(ext, z, left, right), contour)
     if np.asarray(val).size == 0:
         return 0.0

@@ -5,10 +5,6 @@ class WeylScopeError(Exception):
     """Base class for all errors raised by weylscope."""
 
 
-class SingularMatrixError(WeylScopeError):
-    """Linear system is singular up to the conditioning threshold."""
-
-
 class NoConvergenceError(WeylScopeError):
     """Eigenvalue iteration failed to converge."""
 

@@ -303,18 +303,28 @@ def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
     return 1.0 + (prod * PoleSum.single(lam)).line_integral()
 
 
+def _det_and_bracket(model: FriedrichsModel, lam: complex):
+    """(D, bracket) with M = 1 / bracket; bracket is None when |D| < 1e-12.
+
+    bracket = sign(Im lam) pi i + I_psi I_phi / D - B.
+    """
+    det = perturbation_determinant(model, lam)
+    if abs(det) < 1e-12:
+        return det, None
+    i_psi, i_phi = transform_pair(model, lam)
+    return det, np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - complex(model.bparam)
+
+
 def m_value(model: FriedrichsModel, lam: complex) -> complex:
     """Scalar M-function value at a nonreal point.
 
     Raises DZeroError when the determinant vanishes and BracketZeroError
-    when lam is a pole of M (scans catch the latter and record it).
+    when lam is a pole of M (m_scan records both as NaN rows instead).
     """
     lam = complex(lam)
-    det = perturbation_determinant(model, lam)
-    if abs(det) < 1e-12:
+    det, bracket = _det_and_bracket(model, lam)
+    if bracket is None:
         raise DZeroError(f"determinant vanishes at lam={lam}")
-    i_psi, i_phi = transform_pair(model, lam)
-    bracket = np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - complex(model.bparam)
     if abs(bracket) < 1e-12:
         raise BracketZeroError(f"M-function pole at lam={lam}")
     return 1.0 / bracket
@@ -557,14 +567,10 @@ def m_scan(model: FriedrichsModel, re_points, eps_values):
     for x0 in re_points:
         for eps in eps_values:
             for lam in (complex(x0, eps), complex(x0, -eps)):
-                det = perturbation_determinant(model, lam)
-                i_psi, i_phi = transform_pair(model, lam)
-                if abs(det) < 1e-12:
+                det, bracket = _det_and_bracket(model, lam)
+                if bracket is None:
                     rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
                     continue
-                bracket = (
-                    np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - model.bparam
-                )
                 if abs(bracket) < 1e-12:
                     rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), abs(bracket)))
                     continue

@@ -36,6 +36,10 @@ from .errors import (
 from .numerics import matrix_norm2
 
 DEFAULT_ODE_TOL = 1e-10
+MIN_FD_N = 32
+# _winding: boundary samples per rectangle side, bisection cap per boundary
+WINDING_PER_SIDE = 32
+WINDING_MAX_REFINE = 4000
 
 
 # ----------------------------------------------------------- piecewise pieces
@@ -408,14 +412,16 @@ def _boundary_path(re_lo, re_hi, im_lo, im_hi, per_side):
     return pts
 
 
-def _winding(model, rect, tol, per_side=32, max_refine=14):
+def _winding(model, rect, tol):
     """Winding number of the denominator along the rectangle boundary.
 
     Phase increments above pi/2 trigger bisection of the offending segment,
-    so the count is reliable once the samples resolve the argument.
+    so the count is reliable once the samples resolve the argument.  Raises
+    NoConvergenceError when a jump is still unresolved after
+    WINDING_MAX_REFINE bisections.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    pts = _boundary_path(re_lo, re_hi, im_lo, im_hi, per_side)
+    pts = _boundary_path(re_lo, re_hi, im_lo, im_hi, WINDING_PER_SIDE)
     vals = [bc_denominator(model, z, tol) for z in pts]
     total = 0.0
     i = 0
@@ -426,7 +432,11 @@ def _winding(model, rect, tol, per_side=32, max_refine=14):
         if a == 0 or b == 0:
             raise NoConvergenceError("denominator vanishes on the search boundary")
         dphi = np.angle(b / a)
-        if abs(dphi) > np.pi / 2 and refinements < 4000:
+        if abs(dphi) > np.pi / 2:
+            if refinements >= WINDING_MAX_REFINE:
+                raise NoConvergenceError(
+                    f"winding refinement cap {WINDING_MAX_REFINE} reached on {rect}"
+                )
             mid = 0.5 * (pts[i] + pts[i + 1])
             pts.insert(i + 1, mid)
             vals.insert(i + 1, bc_denominator(model, mid, tol))
@@ -561,8 +571,8 @@ def discretize(model: HLModel, n: int):
     i/n with Robin rows from ghost-point elimination, and meta holding the
     nodes, the trapezoid weights and the coupling-support node mask.
     """
-    if n < 32:
-        raise ValueError("need n >= 32")
+    if n < MIN_FD_N:
+        raise ValueError(f"need n >= {MIN_FD_N}")
     h = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
     npts = n + 1

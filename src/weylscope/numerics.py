@@ -10,12 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    SingularMatrixError,
-    SlowDecayError,
-)
+from .errors import DimensionMismatchError, SlowDecayError
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_LINE_NODES = 400
@@ -42,59 +37,6 @@ class ContourSpec:
     def points(self) -> np.ndarray:
         ang = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
         return self.center + self.radius * np.exp(1j * ang)
-
-
-def solve_linear(a, b):
-    """Solve a x = b for square nonsingular a.
-
-    Raises SingularMatrixError when the smallest singular value falls below
-    1e-13 times the matrix norm.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        return np.zeros_like(b)
-    scale = np.linalg.norm(a, 2)
-    sv_min = np.linalg.svd(a, compute_uv=False)[-1]
-    if sv_min <= 1e-13 * max(scale, 1e-300):
-        raise SingularMatrixError(
-            f"smallest singular value {sv_min:.3e} below threshold for norm {scale:.3e}"
-        )
-    return np.linalg.solve(a, b)
-
-
-def eig_dense(a):
-    """All eigenpairs of a dense square matrix, as a list of (value, vector).
-
-    Each returned pair satisfies |a v - lam v| <= 1e-8 |a| with |v| = 1.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        return []
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    scale = max(np.linalg.norm(a, 2), 1e-300)
-    pairs = []
-    for j in range(len(vals)):
-        v = vecs[:, j]
-        resid = np.linalg.norm(a @ v - vals[j] * v)
-        if resid > 1e-8 * scale:
-            raise NoConvergenceError(
-                f"eigenpair residual {resid:.3e} exceeds 1e-8 * {scale:.3e}"
-            )
-        pairs.append((complex(vals[j]), v))
-    return pairs
-
-
-def eigvals_dense(a) -> np.ndarray:
-    """Eigenvalues only, as an ndarray (convenience wrapper over eig_dense)."""
-    return np.array([lam for lam, _ in eig_dense(a)])
 
 
 def orthonormal_basis(columns, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -33,6 +33,7 @@ the constructor) reads
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -298,6 +299,19 @@ class Extension:
     def constraint(self) -> np.ndarray:
         return self.triple.bnd1 - self.bparam @ self.triple.bnd2
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Eigenvalues of the state-space matrix, computed once and read-only.
+
+        The triple and bparam are immutable, so the cache cannot go stale.
+        """
+        if self.triple.state_dim == 0:
+            eigs = np.zeros(0, dtype=complex)
+        else:
+            eigs = np.linalg.eigvals(extension_operator(self))
+        eigs.setflags(write=False)
+        return eigs
+
 
 def adjoint_extension(ext: Extension) -> Extension:
     """The adjoint-side restriction, parametrized by the conjugate transpose."""
@@ -358,10 +372,11 @@ def extension_operator(ext: Extension) -> np.ndarray:
 
 
 def extension_eigenvalues(ext: Extension) -> np.ndarray:
-    """Spectrum of the restriction (eigenvalues of its state-space matrix)."""
-    if ext.triple.state_dim == 0:
-        return np.zeros(0, dtype=complex)
-    return np.linalg.eigvals(extension_operator(ext))
+    """Spectrum of the restriction (eigenvalues of its state-space matrix).
+
+    Computed once per Extension; the returned array is read-only.
+    """
+    return ext._spectrum
 
 
 def resolvent_apply(ext: Extension, lam: complex, rhs) -> np.ndarray:

@@ -139,9 +139,10 @@ def _drop(data, key):
     ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"n": 4}}}),
     ("contour", lambda m: {"contour": {"radius": -1}}),
     ("example", lambda m: {"example": "ex2-lower", "lam0": [1, 0]}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "eps": [0.1], "fd_n": 16}}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
-        "ex2-real-lam0"])
+        "ex2-real-lam0", "fd-n-16"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))

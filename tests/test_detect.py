@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from weylscope import triples
 from weylscope.detect import (
     SpaceSamplingSpec,
+    SubspaceBasis,
     build_adjoint_spaces,
     build_resolvent_space,
     build_solution_space,
@@ -78,13 +82,47 @@ def test_rank_saturation(ext):
     spec = saturated_sampling(ext)
     t_basis = build_solution_space(ext, spec)
     # adding further points must not raise the rank
-    grown = default_sampling(ext, extra=9)
+    grown = default_sampling(ext, count=33)
     bigger = SpaceSamplingSpec(
         anchor=spec.anchor,
         resolvent_samples=spec.resolvent_samples,
         solution_samples=spec.solution_samples + grown.solution_samples[-3:],
     )
     assert build_solution_space(ext, bigger).dim == t_basis.dim
+
+
+def test_saturated_sampling_continues_default_stream(ext):
+    spec = saturated_sampling(ext)
+    n = len(spec.solution_samples)
+    assert n > 12
+    plain = default_sampling(ext, count=n)
+    assert spec.solution_samples == plain.solution_samples
+    assert spec.resolvent_samples == spec.solution_samples
+    assert spec.anchor == plain.anchor
+    assert default_sampling(ext, count=n + 5).solution_samples[:n] == plain.solution_samples
+
+
+def test_spectrum_computed_once_per_extension(monkeypatch, hidden_ext):
+    built = []
+
+    def counting_operator(e):
+        built.append(e)
+        return extension_operator(e)
+
+    monkeypatch.setattr(triples, "extension_operator", counting_operator)
+    spec = saturated_sampling(hidden_ext)
+    s_basis = build_resolvent_space(hidden_ext, spec)
+    build_solution_space(hidden_ext, spec)
+    s_adj, _ = build_adjoint_spaces(hidden_ext, spec)
+    contour = ContourSpec(center=25.0, radius=1.0, nodes=32)
+    morera_residual(hidden_ext, contour, s_adj, s_basis)
+    counts = Counter(id(e) for e in built)
+    assert counts[id(hidden_ext)] == 1
+    assert set(counts.values()) == {1}
+    eigs = extension_eigenvalues(hidden_ext)
+    assert not eigs.flags.writeable
+    with pytest.raises(ValueError):
+        eigs[0] = 0.0
 
 
 def test_solution_equals_resolvent_space(ext):
@@ -147,10 +185,7 @@ def test_invariance_residual_saturated(ext, rng):
 
 
 def test_invariance_full_space(ext):
-    spec = default_sampling(ext)
-    basis = build_solution_space(ext, spec)
-    full = basis.__class__(basis=np.eye(ext.triple.state_dim, dtype=complex),
-                           side="solution", spec=spec)
+    full = SubspaceBasis(basis=np.eye(ext.triple.state_dim, dtype=complex), side="solution")
     assert invariance_residual(full, ext, 11.3j) < 1e-12
 
 
@@ -170,11 +205,8 @@ def test_invariance_unsaturated_space(hidden_ext):
 
 
 def test_bordered_full_space_is_resolvent(ext):
-    spec = default_sampling(ext)
-    t_basis = build_solution_space(ext, spec)
-    eye_basis = t_basis.__class__(
-        basis=np.eye(ext.triple.state_dim, dtype=complex), side="solution", spec=spec
-    )
+    eye_basis = SubspaceBasis(basis=np.eye(ext.triple.state_dim, dtype=complex),
+                              side="solution")
     lam = 9.0 + 9.0j
     _, rv = resolvent_matrices(ext, lam)
     np.testing.assert_allclose(bordered_resolvent(ext, lam, eye_basis, eye_basis), rv)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from weylscope import hainlust
 from weylscope.errors import (
     AtEigenvalueError,
     CoefficientSingularError,
     ContourHitsEssranError,
     GridHitsEssranWError,
+    NoConvergenceError,
 )
 from weylscope.hainlust import (
     HLModel,
@@ -179,6 +181,15 @@ def test_eigenvalues_against_fd_oracle():
 def test_eigenvalues_region_boundary_near_essran_rejected():
     with pytest.raises(ContourHitsEssranError):
         eigenvalues_in(step_model(), 2.0005, 10.0, -1.0, 1.0)
+
+
+def test_winding_refinement_cap_raises(monkeypatch):
+    # the boundary passes 0.01 from the root pi^2, so the 32-per-side samples
+    # leave phase jumps that need bisection; with no bisections allowed the
+    # search must fail instead of summing unresolved jumps
+    monkeypatch.setattr(hainlust, "WINDING_MAX_REFINE", 0)
+    with pytest.raises(NoConvergenceError, match="refinement cap"):
+        eigenvalues_in(free_model(), 9.5, 10.5, -0.01, 0.01)
 
 
 def test_real_axis_zero_two_sided_agreement():

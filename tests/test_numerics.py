@@ -3,81 +3,15 @@ import pytest
 
 from weylscope.errors import (
     DimensionMismatchError,
-    SingularMatrixError,
     SlowDecayError,
 )
 from weylscope.numerics import (
     ContourSpec,
     contour_integral,
-    eig_dense,
-    eigvals_dense,
     orthonormal_basis,
     principal_angles,
     real_line_quadrature,
-    solve_linear,
 )
-
-
-def test_solve_identity():
-    x = solve_linear(np.eye(2), np.array([1.0, 2.0]))
-    np.testing.assert_allclose(x, [1.0, 2.0])
-
-
-def test_solve_diagonal():
-    x = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    np.testing.assert_allclose(x, [1.0, 1.0])
-
-
-def test_solve_random_residual():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    x = solve_linear(a, b)
-    assert np.linalg.norm(a @ x - b) < 1e-10
-
-
-def test_solve_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        solve_linear(a, np.array([1.0, 1.0]))
-
-
-def test_solve_rejects_nonsquare():
-    with pytest.raises(DimensionMismatchError):
-        solve_linear(np.ones((2, 3)), np.ones(2))
-
-
-def test_eig_diagonal():
-    vals = sorted(lam.real for lam, _ in eig_dense(np.diag([1.0, 2.0, 3.0])))
-    np.testing.assert_allclose(vals, [1.0, 2.0, 3.0])
-
-
-def test_eig_nilpotent_multiplicity():
-    vals = eigvals_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert vals.shape == (2,)
-    np.testing.assert_allclose(vals, [0.0, 0.0], atol=1e-12)
-
-
-def test_eig_companion_roots():
-    # companion matrix of z^2 - 3z + 2 has roots {1, 2}
-    comp = np.array([[0.0, -2.0], [1.0, 3.0]])
-    vals = np.sort_complex(eigvals_dense(comp))
-    np.testing.assert_allclose(vals, [1.0, 2.0], atol=1e-10)
-
-
-def test_eig_pairs_satisfy_equation():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    for lam, v in eig_dense(a):
-        assert np.linalg.norm(a @ v - lam * v) <= 1e-8 * np.linalg.norm(a, 2)
-
-
-def test_eig_adjoint_conjugate_multiset():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    left = np.sort_complex(eigvals_dense(a))
-    right = np.sort_complex(np.conj(eigvals_dense(a.conj().T)))
-    np.testing.assert_allclose(left, right, atol=1e-8)
 
 
 def test_orthonormal_basis_rank_one():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weylscope.errors import LambdaInSpectrumError, RankDeficientBoundaryError
-from weylscope.numerics import ContourSpec, contour_integral, eigvals_dense
+from weylscope.numerics import ContourSpec, contour_integral
 from weylscope.triples import (
     Extension,
     adjoint_extension,
