@@ -20,7 +20,7 @@ import numpy as np
 
 from . import detect, firstorder, friedrichs, hainlust, triples
 from .errors import ConfigInvalidError, ModelUnknownError, WeylScopeError
-from .numerics import ContourSpec, matrix_norm2
+from .numerics import ContourSpec, matrix_norm2, principal_angles
 
 DEFAULT_SEED = 1729
 
@@ -135,8 +135,6 @@ def _suite_for_triple(rng, tr, tols):
     spec = detect.saturated_sampling(ext_b)
     t_space = detect.build_solution_space(ext_b, spec)
     s_space = detect.build_resolvent_space(ext_b, spec)
-    from .numerics import principal_angles
-
     ang = principal_angles(s_space.basis, t_space.basis)
     worst = float(np.max(ang)) if ang.size else 0.0
     entries.append(_check_entry("detection-angle", "solution span equals smoothed "
@@ -158,7 +156,7 @@ def _suite_for_triple(rng, tr, tols):
     )
     entries.append(_check_entry("invariance", "resolvent invariance of the "
                                 "detection space", worst, tols.get("invariance", 1e-8)))
-    return entries, ext_b
+    return entries
 
 
 def _hidden_block_entries(rng, tols):
@@ -207,8 +205,7 @@ def run_check(config, out_path, seed, tol_override):
 
     checks = []
     for tr in tr_list:
-        entries, _ = _suite_for_triple(rng, tr, tols)
-        checks.extend(entries)
+        checks.extend(_suite_for_triple(rng, tr, tols))
     checks.extend(_hidden_block_entries(rng, tols))
 
     passed = all(c["pass"] for c in checks)

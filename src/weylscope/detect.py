@@ -196,10 +196,8 @@ def invariance_residual(space: SubspaceBasis, ext: Extension, mu: complex) -> fl
     """Defect of resolvent invariance: |(I - P) R(mu) P| for the space's projector."""
     q = space.basis
     _, rv = resolvent_matrices(ext, mu)
-    if q.shape[1] == 0:
-        return 0.0
     rp = rv @ q
-    return float(np.linalg.norm(rp - q @ (q.conj().T @ rp), 2))
+    return matrix_norm2(rp - q @ (q.conj().T @ rp))
 
 
 def bordered_resolvent(ext: Extension, lam: complex, left: SubspaceBasis,
@@ -223,9 +221,7 @@ def morera_residual(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
             f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum"
         )
     val = contour_integral(lambda z: bordered_resolvent(ext, z, left, right), contour)
-    if np.asarray(val).size == 0:
-        return 0.0
-    return float(np.linalg.norm(val, 2))
+    return matrix_norm2(val)
 
 
 def full_contour_integral(ext: Extension, contour: ContourSpec) -> np.ndarray:
@@ -255,7 +251,7 @@ def detection_report(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
                      right: SubspaceBasis, triple_id: str = "triple") -> dict:
     """JSON-ready record comparing bordered and full contour residuals."""
     bordered = morera_residual(ext, contour, left, right)
-    full = float(matrix_norm2(full_contour_integral(ext, contour)))
+    full = matrix_norm2(full_contour_integral(ext, contour))
     return {
         "triple_id": triple_id,
         "contour": {

@@ -40,6 +40,12 @@ MIN_FD_N = 32
 # _winding: boundary samples per rectangle side, bisection cap per boundary
 WINDING_PER_SIDE = 32
 WINDING_MAX_REFINE = 4000
+# root location: ODE tolerance, subdivision depth cap, Newton iteration cap,
+# and the two-sided agreement real_axis_zero requires
+ROOT_ODE_TOL = 1e-11
+ROOT_MAX_DEPTH = 40
+NEWTON_MAX_ITER = 60
+REAL_ZERO_AGREEMENT = 1e-6
 
 
 # ----------------------------------------------------------- piecewise pieces
@@ -450,29 +456,36 @@ def _winding(model, rect, tol):
     return int(round(count))
 
 
-def _newton_polish(model, lam, tol, maxit=60):
+def _newton_polish(model, lam, tol):
+    """Newton on the denominator with a central-difference derivative.
+
+    Raises NoConvergenceError when the derivative vanishes or the step has
+    not dropped below 1e-11 relative within NEWTON_MAX_ITER iterations.
+    """
     step_scale = 1e-6
-    for _ in range(maxit):
+    for _ in range(NEWTON_MAX_ITER):
         f0 = bc_denominator(model, lam, tol)
         h = step_scale * max(1.0, abs(lam))
         fp = (bc_denominator(model, lam + h, tol) - bc_denominator(model, lam - h, tol)) / (2 * h)
         if fp == 0:
-            break
+            raise NoConvergenceError(f"zero derivative in Newton at lam={lam}")
         delta = f0 / fp
         lam = lam - delta
         if abs(delta) < 1e-11 * max(1.0, abs(lam)):
             return lam
-    return lam
+    raise NoConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} steps, at lam={lam}")
 
 
-def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi,
-                   tol: float = 1e-11, max_depth: int = 40):
+def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     """All denominator zeros in the rectangle, by subdivision plus Newton.
 
     The rectangle boundary must keep a distance of 1e-3 from the essential
     range of the multiplier; located zeros are polished to 1e-10 and the
     final count is checked against the winding number of the whole region.
+    A Newton run that does not converge counts as a miss: the rectangle is
+    subdivided, down to ROOT_MAX_DEPTH levels.
     """
+    tol = ROOT_ODE_TOL
     essran_full = model.essran()
     for z in _boundary_path(re_lo, re_hi, im_lo, im_hi, 16):
         if interval_set_distance(z, essran_full) <= 1e-3:
@@ -492,8 +505,11 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi,
         diag = np.hypot(rhi - rlo, ihi - ilo)
         if count == 1 or diag < 1e-3:
             seed = complex(0.5 * (rlo + rhi), 0.5 * (ilo + ihi))
-            root = _newton_polish(model, seed, tol)
-            ok = (
+            try:
+                root = _newton_polish(model, seed, tol)
+            except NoConvergenceError:
+                root = None
+            ok = root is not None and (
                 rlo - 1e-6 <= root.real <= rhi + 1e-6
                 and ilo - 1e-6 <= root.imag <= ihi + 1e-6
                 and abs(bc_denominator(model, root, tol)) < 1e-9
@@ -501,7 +517,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi,
             if ok and count == 1:
                 roots.append(root)
                 continue
-            if depth >= max_depth:
+            if depth >= ROOT_MAX_DEPTH:
                 raise NoConvergenceError(f"could not isolate zero in {rect}")
         # split along the longer edge, nudging off the singular set
         if (rhi - rlo) >= (ihi - ilo):
@@ -539,24 +555,24 @@ def _dedupe(roots, tol=1e-7):
     return out
 
 
-def real_axis_zero(model: HLModel, x0: float, tol: float = 1e-11,
-                   agreement: float = 1e-6) -> float:
+def real_axis_zero(model: HLModel, x0: float) -> float:
     """Polish a real-axis denominator zero approached from both half planes.
 
     Newton runs separately from x0 + i eps and x0 - i eps; the zero is
-    reported only when the two limits agree to the given tolerance, which
-    is the guard needed before calling a real point (possibly inside the
-    essential range of the multiplier) an eigenvalue.
+    reported only when both runs converge and the two limits agree to
+    REAL_ZERO_AGREEMENT, which is the guard needed before calling a real
+    point (possibly inside the essential range of the multiplier) an
+    eigenvalue.  Raises NoConvergenceError otherwise.
     """
     eps = 1e-4
-    upper = _newton_polish(model, complex(x0, eps), tol)
-    lower = _newton_polish(model, complex(x0, -eps), tol)
-    if abs(upper - lower) > agreement:
+    upper = _newton_polish(model, complex(x0, eps), ROOT_ODE_TOL)
+    lower = _newton_polish(model, complex(x0, -eps), ROOT_ODE_TOL)
+    if abs(upper - lower) > REAL_ZERO_AGREEMENT:
         raise NoConvergenceError(
             f"two-sided limits disagree: {upper} vs {lower}"
         )
     root = 0.5 * (upper + lower)
-    if abs(root.imag) > agreement:
+    if abs(root.imag) > REAL_ZERO_AGREEMENT:
         raise NoConvergenceError(f"polished zero {root} is not real")
     return float(root.real)
 
@@ -614,8 +630,15 @@ def _resolvent_dense(mat, lam):
 
 
 def _jump_norms(mat, proj, lam):
-    """Norms of R(lam) - R(conj lam), uncompressed and compressed by diag(proj)."""
-    jump = _resolvent_dense(mat, lam) - _resolvent_dense(mat, np.conj(lam))
+    """Norms of R(lam) - R(conj lam), uncompressed and compressed by diag(proj).
+
+    For a real matrix R(conj lam) = conj R(lam), so the jump is 2i Im R(lam)
+    and one solve gives both norms; complex coefficients need both solves.
+    """
+    if not mat.imag.any():
+        jump = 2.0 * _resolvent_dense(mat, lam).imag
+    else:
+        jump = _resolvent_dense(mat, lam) - _resolvent_dense(mat, np.conj(lam))
     return matrix_norm2(jump), matrix_norm2(proj[:, None] * jump * proj[None, :])
 
 

@@ -42,7 +42,7 @@ from .errors import (
     LambdaInSpectrumError,
     RankDeficientBoundaryError,
 )
-from .numerics import orthonormal_basis
+from .numerics import DEFAULT_RANK_TOL, matrix_norm2, orthonormal_basis
 
 SPECTRUM_SV_TOL = 1e-10
 
@@ -118,7 +118,7 @@ class FiniteTriple:
         )
 
 
-def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None, *, rank_tol=1e-10):
+def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
     """Assemble a FiniteTriple, deriving the adjoint-side data.
 
     The adjoint-side action is always derived so the pairing identity holds
@@ -145,7 +145,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None, *, rank_tol=1e-10):
     nt = m + k
     adj_bnd1 = _as_matrix(adj_bnd1, k, nt, "adj_bnd1")
 
-    _check_surjective(bnd1, bnd2, "primary", rank_tol)
+    _check_surjective(bnd1, bnd2, "primary")
 
     # pairing identity, column blocks:  [action; 0][:, :m] - action_adj^H = rhs[:, :m]
     # and on the defect columns        [action; 0][:, m:]  = rhs[:, m:]
@@ -155,7 +155,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None, *, rank_tol=1e-10):
         if h > 0:
             defect = bnd1[:, m:]
             sv = np.linalg.svd(defect, compute_uv=False)
-            if sv[-1] <= rank_tol * max(sv[0], 1.0):
+            if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
                 raise RankDeficientBoundaryError(
                     "bnd1 defect block is singular; supply adj_bnd2 explicitly"
                 )
@@ -174,7 +174,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None, *, rank_tol=1e-10):
     rhs = adj_bnd2.conj().T @ bnd1 - adj_bnd1.conj().T @ bnd2
     action_adj = (lifted[:, :m] - rhs[:, :m]).conj().T
 
-    _check_surjective(adj_bnd1, adj_bnd2, "adjoint", rank_tol)
+    _check_surjective(adj_bnd1, adj_bnd2, "adjoint")
 
     return FiniteTriple(
         action=action,
@@ -186,14 +186,14 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None, *, rank_tol=1e-10):
     )
 
 
-def _check_surjective(b1, b2, side, rank_tol):
+def _check_surjective(b1, b2, side):
     stacked = np.vstack([b1, b2])
     if stacked.shape[0] == 0:
         return
     if stacked.shape[0] > stacked.shape[1]:
         raise RankDeficientBoundaryError(f"{side} boundary maps exceed domain dimension")
     sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv[-1] <= rank_tol * max(sv[0], 1.0):
+    if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
         raise RankDeficientBoundaryError(f"stacked {side} boundary maps not surjective")
 
 
@@ -263,8 +263,8 @@ def triple_from_dict(data: dict) -> FiniteTriple:
     if np.linalg.norm(_pairing_gap(tr)) > 1e-9 * max(1.0, np.linalg.norm(tr.action)):
         raise ValueError("triple file violates the pairing identity")
     try:
-        _check_surjective(tr.bnd1, tr.bnd2, "primary", 1e-10)
-        _check_surjective(tr.adj_bnd1, tr.adj_bnd2, "adjoint", 1e-10)
+        _check_surjective(tr.bnd1, tr.bnd2, "primary")
+        _check_surjective(tr.adj_bnd1, tr.adj_bnd2, "adjoint")
     except RankDeficientBoundaryError as exc:
         raise ValueError(str(exc)) from exc
     return tr
@@ -472,7 +472,7 @@ def krein_residual(ext_b: Extension, ext_c: Extension, lam: complex) -> float:
     diff = ext_b.bparam - ext_c.bparam
     correction = sol_c @ (np.eye(tr.h) + diff @ mb) @ (-diff) @ (tr.bnd2 @ coords_c)
     gap = rb - (rc - correction)
-    return float(np.linalg.norm(gap, 2))
+    return matrix_norm2(gap)
 
 
 def _same_triple(a: FiniteTriple, b: FiniteTriple) -> bool:

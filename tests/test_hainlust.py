@@ -200,6 +200,12 @@ def test_real_axis_zero_two_sided_agreement():
     assert abs(root - np.pi**2) < 1e-9
 
 
+def test_real_axis_zero_raises_when_newton_stalls(monkeypatch):
+    monkeypatch.setattr(hainlust, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergenceError, match="Newton"):
+        hainlust.real_axis_zero(free_model(u_value=5.0), 9.5)
+
+
 def test_eigenvalues_complex_coefficients():
     # complex q moves the spectrum off the real axis; the subdivision must
     # still isolate every zero, cross-checked against the dense oracle
@@ -305,6 +311,33 @@ def test_scan_rows_match_m_matrix_and_bordered_scan():
     for row in rows[~singular]:
         (ref,) = bordered_scan(model, [row[0]], [abs(row[1])], n=64)
         assert (row[11], row[12]) == (ref["full_jump"], ref["bordered_jump"])
+
+
+@pytest.mark.parametrize("coupling, solves", [(1.0, 1), (1.0 + 0.5j, 2)])
+def test_jump_norms_match_two_solve_reference(monkeypatch, coupling, solves):
+    # a real discretization needs one solve per point (R(conj lam) = conj R(lam));
+    # complex coupling keeps both
+    u = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((2.0,), (3.0,)))
+    w = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((coupling,), (0.0,)))
+    model = HLModel(q=PiecewisePoly.constant(0.0), u=u, w=w, alpha=HALF_PI, beta=HALF_PI)
+    mat, meta = discretize(model, 240)
+    proj = hainlust._projector_diag(meta)
+    eye = np.eye(mat.shape[0])
+    calls = []
+    solve = hainlust._resolvent_dense
+    monkeypatch.setattr(hainlust, "_resolvent_dense",
+                        lambda m, lam: calls.append(lam) or solve(m, lam))
+    points = [2.0 + 1e-2j, 2.5 + 5e-4j, 3.0 + 5e-4j]
+    for lam in points:
+        full, bordered = hainlust._jump_norms(mat, proj, lam)
+        jump = (np.linalg.solve(mat - lam * eye, eye)
+                - np.linalg.solve(mat - np.conj(lam) * eye, eye))
+        ref_full = np.linalg.svd(jump, compute_uv=False)[0]
+        ref_bordered = np.linalg.svd(proj[:, None] * jump * proj[None, :],
+                                     compute_uv=False)[0]
+        assert abs(full - ref_full) <= 1e-12 * ref_full
+        assert abs(bordered - ref_bordered) <= 1e-12 * ref_bordered
+    assert len(calls) == solves * len(points)
 
 
 def test_bordered_reduces_to_schroedinger_block_when_uncoupled():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from weylscope.errors import (
 from weylscope.numerics import (
     ContourSpec,
     contour_integral,
+    matrix_norm2,
     orthonormal_basis,
     principal_angles,
     real_line_quadrature,
@@ -136,6 +139,37 @@ def test_line_quadrature_odd_function():
 def test_line_quadrature_slow_decay_raises():
     with pytest.raises(SlowDecayError):
         real_line_quadrature(lambda x: 1.0 / (abs(x) + 1.0), 1)
+
+
+def test_line_quadrature_propagates_integrand_type_error():
+    # math.fabs rejects the node array; the error must reach the caller
+    with pytest.raises(TypeError):
+        real_line_quadrature(lambda x: 1.0 / (math.fabs(x) + 1.0) ** 2, 2)
+
+
+def test_line_quadrature_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        real_line_quadrature(lambda x: np.ones(3), 2)
+
+
+def test_matrix_norm2_exact_with_close_top_singular_values():
+    # more than 400 columns and a top gap of 1e-6: an iterative estimate
+    # stops short of the largest singular value
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((450, 420)))
+    v, _ = np.linalg.qr(rng.standard_normal((420, 420)))
+    sv = 1.0 - 1e-6 * np.arange(420)
+    sv[10:] = np.linspace(0.5, 0.01, 410)
+    a = (u * sv) @ v.T
+    assert abs(matrix_norm2(a) - sv[0]) <= 1e-12 * sv[0]
+    assert abs(matrix_norm2(a.T * (1.0 + 1.0j)) - np.sqrt(2.0) * sv[0]) <= 1e-12 * sv[0]
+
+
+def test_matrix_norm2_real_and_empty():
+    assert matrix_norm2(np.diag([3.0, -4.0])) == 4.0
+    assert matrix_norm2(np.array([[1, 2], [2, 1]])) == pytest.approx(3.0, rel=1e-15)
+    assert matrix_norm2(np.zeros((3, 0))) == 0.0
+    assert matrix_norm2(np.zeros((0, 0), dtype=complex)) == 0.0
 
 
 def test_contour_spec_validation():
