@@ -30,6 +30,7 @@ from .triples import (
     extension_eigenvalues,
     resolvent_matrices,
     solution_basis,
+    spectrum_distance,
 )
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -67,20 +68,10 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def _near_spectrum(ext: Extension, points, clearance: float):
-    """The first point within clearance of the restriction's spectrum, or None."""
-    eigs = extension_eigenvalues(ext)
-    if eigs.size:
-        for z in points:
-            if np.min(np.abs(eigs - z)) <= clearance:
-                return z
-    return None
-
-
 def _check_samples(ext: Extension, points, what: str):
-    z = _near_spectrum(ext, points, SPECTRUM_CLEARANCE)
-    if z is not None:
-        raise SampleInSpectrumError(f"{what} point {z} is within 1e-6 of the spectrum")
+    for z in points:
+        if spectrum_distance(ext, z) <= SPECTRUM_CLEARANCE:
+            raise SampleInSpectrumError(f"{what} point {z} is within 1e-6 of the spectrum")
 
 
 def _sample_stream(ext: Extension):
@@ -98,7 +89,7 @@ def _sample_stream(ext: Extension):
         center, spread = 0.0, 0.0
     radii = (spread + 1.0, 2.0 * (spread + 1.0))
     anchor = complex(center + 1.37j * radii[1])
-    if eigs.size and np.min(np.abs(eigs - anchor)) <= 10 * SPECTRUM_CLEARANCE:
+    if spectrum_distance(ext, anchor) <= 10 * SPECTRUM_CLEARANCE:
         anchor = complex(center + 1.61j * radii[1])
 
     def points():
@@ -106,12 +97,11 @@ def _sample_stream(ext: Extension):
             r = radii[j % 2]
             ang = GOLDEN_ANGLE * j
             z = center + r * np.exp(1j * ang)
-            if eigs.size:
-                bump = 0
-                while np.min(np.abs(eigs - z)) <= 10 * SPECTRUM_CLEARANCE and bump < 50:
-                    ang += 1e-3
-                    z = center + r * np.exp(1j * ang)
-                    bump += 1
+            bump = 0
+            while spectrum_distance(ext, z) <= 10 * SPECTRUM_CLEARANCE and bump < 50:
+                ang += 1e-3
+                z = center + r * np.exp(1j * ang)
+                bump += 1
             yield complex(z)
 
     return anchor, points()
@@ -215,11 +205,11 @@ def morera_residual(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
     resolvent is analytic inside the contour; contour nodes must keep a
     clearance (CONTOUR_CLEARANCE) from the spectrum.
     """
-    z = _near_spectrum(ext, contour.points(), CONTOUR_CLEARANCE)
-    if z is not None:
-        raise ContourHitsSpectrumError(
-            f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum"
-        )
+    for z in contour.points():
+        if spectrum_distance(ext, z) <= CONTOUR_CLEARANCE:
+            raise ContourHitsSpectrumError(
+                f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum"
+            )
     val = contour_integral(lambda z: bordered_resolvent(ext, z, left, right), contour)
     return matrix_norm2(val)
 

@@ -106,10 +106,9 @@ def blowup_scan(model: FOModel, path, g: np.ndarray):
 
 def scan_rows(model: FOModel, lams, g: np.ndarray):
     """Rows (re, im, resolvent norm, M re, M im) for CSV emission."""
+    lams = [complex(lam) for lam in lams]
     out = []
-    for lam in lams:
-        lam = complex(lam)
-        nrm = model.grid.norm(resolvent(model, lam, g))
+    for lam, nrm in zip(lams, blowup_scan(model, lams, g)):
         mv = m_value(model, lam)
         out.append((lam.real, lam.imag, nrm, mv.real, mv.imag))
     return out

@@ -30,6 +30,7 @@ from .errors import (
     RealLambdaError,
     SlowDecayError,
 )
+from .numerics import ContourSpec, contour_integral
 
 _MERGE_TOL = 1e-13
 _REAL_AXIS_TOL = 1e-12
@@ -287,12 +288,10 @@ def cauchy_transform(f: RationalH2, lam: complex) -> complex:
 def transform_pair(model: FriedrichsModel, lam: complex):
     """(I_psi, I_phi): integral of psi/(x-lam) and of conj(phi)/(x-lam)."""
     lam = complex(lam)
-    kernel = PoleSum.single(lam)
     psi_ps = model.psi.as_polesum()
-    phi_conj = model.phi.as_polesum().conjugate()
     _check_lambda(lam, psi_ps.poles())
-    _check_lambda(lam, phi_conj.poles())
-    return (psi_ps * kernel).line_integral(), (phi_conj * kernel).line_integral()
+    i_phi = cauchy_transform(model.phi, lam)
+    return (psi_ps * PoleSum.single(lam)).line_integral(), i_phi
 
 
 def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
@@ -427,12 +426,8 @@ def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j,
     eig_resid = float(np.max(np.abs(action(nodes) - lam0 * eigfun(nodes))))
 
     # M_0 pole check: contour integral of M on a small circle around lam0
-    radius = min(0.25 * abs(lam0.imag), 0.5)
-    ang = 2 * np.pi * np.arange(32) / 32
-    circle = lam0 + radius * np.exp(1j * ang)
-    m_contour = sum(
-        m_value(model, z) * 1j * (z - lam0) for z in circle
-    ) * (2 * np.pi / 32)
+    circle = ContourSpec(lam0, min(0.25 * abs(lam0.imag), 0.5), 32)
+    m_contour = complex(contour_integral(lambda z: m_value(model, z), circle))
 
     report = {
         "lam0": [lam0.real, lam0.imag],

@@ -37,6 +37,8 @@ from .numerics import matrix_norm2
 
 DEFAULT_ODE_TOL = 1e-10
 MIN_FD_N = 32
+# scan points closer than this to the singular set get no jump norms
+SCAN_SINGULAR_GUARD = 1e-3 - 1e-15
 # _winding: boundary samples per rectangle side, bisection cap per boundary
 WINDING_PER_SIDE = 32
 WINDING_MAX_REFINE = 4000
@@ -371,23 +373,27 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
     )
 
 
+def _robin_at_1(model: HLModel, y: complex, dy: complex) -> complex:
+    """y'(1) + cot(beta) y(1): the right boundary form of one solution."""
+    return dy + (1.0 / np.tan(model.beta)) * y
+
+
 def bc_denominator(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> complex:
     """The boundary-condition denominator whose zeros are the eigenvalues."""
     res = shoot(model, lam, tol)
-    return res.dy2_at_1 + res.y2_at_1 / np.tan(model.beta)
+    return _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
 
 
 def _shoot_m(model: HLModel, lam: complex, tol: float):
     """Shoot once at lam; return the 2x2 M-matrix and the boundary denominator."""
     res = shoot(model, lam, tol)
-    cot_b = 1.0 / np.tan(model.beta)
-    den = res.dy2_at_1 + cot_b * res.y2_at_1
+    den = _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
     if abs(den) < 1e-12:
         raise AtEigenvalueError(f"boundary denominator vanishes at lam={lam}")
     sa, ca = np.sin(model.alpha), np.cos(model.alpha)
     m11 = -res.y2_at_1 / den
     m12 = sa / den
-    m22 = sa * ca + sa * sa * (res.dy1_at_1 + cot_b * res.y1_at_1) / den
+    m22 = sa * ca + sa * sa * _robin_at_1(model, res.y1_at_1, res.dy1_at_1) / den
     return np.array([[m11, m12], [m12, m22]], dtype=complex), den
 
 
@@ -658,7 +664,7 @@ def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
     for x0 in re_points:
         for eps in eps_values:
             lam = complex(x0, eps)
-            if interval_set_distance(lam, sing) <= 1e-3 - 1e-15:
+            if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
                 raise GridHitsEssranWError(
                     f"scan point {lam} within 1e-3 of the singular set"
                 )
@@ -695,7 +701,7 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
             height = abs(eps)
             if height not in jumps:
                 lam = complex(x0, height)
-                if interval_set_distance(lam, sing) <= 1e-3 - 1e-15:
+                if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
                     jumps[height] = (np.nan, np.nan)
                 else:
                     jumps[height] = _jump_norms(mat, p, lam)
@@ -735,5 +741,4 @@ def schroedinger_block_resolvent(model: HLModel, lam: complex, n: int = 400) -> 
     """Resolvent of the scalar Schroedinger block alone (oracle for w = 0)."""
     mat, meta = discretize(model, n)
     npts = meta["nodes"].size
-    block = mat[:npts, :npts]
-    return np.linalg.solve(block - lam * np.eye(npts), np.eye(npts, dtype=complex))
+    return _resolvent_dense(mat[:npts, :npts], lam)

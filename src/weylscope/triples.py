@@ -123,8 +123,8 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
 
     The adjoint-side action is always derived so the pairing identity holds
     exactly.  If adj_bnd2 is omitted it is derived as well (this needs the
-    defect block bnd1[:, m:] to be invertible); if supplied, it is checked
-    for consistency on the defect columns.
+    defect block bnd1[:, m:] to be invertible); if supplied, the assembled
+    triple is checked against the pairing identity.
 
     Raises RankDeficientBoundaryError when a stacked boundary map pair is
     not surjective, and InconsistentBoundaryDataError when a supplied
@@ -151,39 +151,35 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
     # and on the defect columns        [action; 0][:, m:]  = rhs[:, m:]
     # where rhs = adj_bnd2^H bnd1 - adj_bnd1^H bnd2.
     lifted = np.vstack([action, np.zeros((k, n), dtype=complex)])  # value_adj^H @ action
-    if adj_bnd2 is None:
-        if h > 0:
-            defect = bnd1[:, m:]
-            sv = np.linalg.svd(defect, compute_uv=False)
-            if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
-                raise RankDeficientBoundaryError(
-                    "bnd1 defect block is singular; supply adj_bnd2 explicitly"
-                )
-            target = lifted[:, m:] + adj_bnd1.conj().T @ bnd2[:, m:]
-            adj_bnd2 = np.linalg.solve(defect.conj().T, target.conj().T)
-        else:
-            adj_bnd2 = np.zeros((0, nt), dtype=complex)
-    else:
+    supplied = adj_bnd2 is not None
+    if supplied:
         adj_bnd2 = _as_matrix(adj_bnd2, h, nt, "adj_bnd2")
-        gap = lifted[:, m:] - (adj_bnd2.conj().T @ bnd1 - adj_bnd1.conj().T @ bnd2)[:, m:]
-        if gap.size and np.linalg.norm(gap) > 1e-9 * max(1.0, np.linalg.norm(action)):
-            raise InconsistentBoundaryDataError(
-                "adj_bnd2 does not close the pairing identity on the defect columns"
+    elif h > 0:
+        defect = bnd1[:, m:]
+        sv = np.linalg.svd(defect, compute_uv=False)
+        if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
+            raise RankDeficientBoundaryError(
+                "bnd1 defect block is singular; supply adj_bnd2 explicitly"
             )
+        target = lifted[:, m:] + adj_bnd1.conj().T @ bnd2[:, m:]
+        adj_bnd2 = np.linalg.solve(defect.conj().T, target.conj().T)
+    else:
+        adj_bnd2 = np.zeros((0, nt), dtype=complex)
 
     rhs = adj_bnd2.conj().T @ bnd1 - adj_bnd1.conj().T @ bnd2
-    action_adj = (lifted[:, :m] - rhs[:, :m]).conj().T
-
-    _check_surjective(adj_bnd1, adj_bnd2, "adjoint")
-
-    return FiniteTriple(
+    tr = FiniteTriple(
         action=action,
-        action_adj=action_adj,
+        action_adj=(lifted[:, :m] - rhs[:, :m]).conj().T,
         bnd1=bnd1,
         bnd2=bnd2,
         adj_bnd1=adj_bnd1,
         adj_bnd2=adj_bnd2,
     )
+    if supplied and _pairing_violated(tr):
+        raise InconsistentBoundaryDataError("adj_bnd2 does not close the pairing identity")
+
+    _check_surjective(adj_bnd1, adj_bnd2, "adjoint")
+    return tr
 
 
 def _check_surjective(b1, b2, side):
@@ -260,7 +256,7 @@ def triple_from_dict(data: dict) -> FiniteTriple:
         adj_bnd1=dec("adj_bnd1", k, m + k),
         adj_bnd2=dec("adj_bnd2", h, m + k),
     )
-    if np.linalg.norm(_pairing_gap(tr)) > 1e-9 * max(1.0, np.linalg.norm(tr.action)):
+    if _pairing_violated(tr):
         raise ValueError("triple file violates the pairing identity")
     try:
         _check_surjective(tr.bnd1, tr.bnd2, "primary")
@@ -270,13 +266,14 @@ def triple_from_dict(data: dict) -> FiniteTriple:
     return tr
 
 
-def _pairing_gap(tr: FiniteTriple) -> np.ndarray:
-    """Matrix defect of the pairing identity (zero for valid triples)."""
+def _pairing_violated(tr: FiniteTriple) -> bool:
+    """Whether the matrix defect of the pairing identity exceeds 1e-9 |action|."""
     m, h, k = tr.state_dim, tr.h, tr.k
     lift = np.vstack([tr.action, np.zeros((k, m + h), dtype=complex)])
     adj_lift = np.hstack([tr.action_adj.conj().T, np.zeros((m + k, h), dtype=complex)])
     rhs = tr.adj_bnd2.conj().T @ tr.bnd1 - tr.adj_bnd1.conj().T @ tr.bnd2
-    return lift - adj_lift - rhs
+    gap = lift - adj_lift - rhs
+    return np.linalg.norm(gap) > 1e-9 * max(1.0, np.linalg.norm(tr.action))
 
 
 @dataclass(frozen=True)
@@ -377,6 +374,12 @@ def extension_eigenvalues(ext: Extension) -> np.ndarray:
     Computed once per Extension; the returned array is read-only.
     """
     return ext._spectrum
+
+
+def spectrum_distance(ext: Extension, z: complex) -> float:
+    """Distance from z to the restriction's spectrum (inf when it is empty)."""
+    eigs = ext._spectrum
+    return float(np.min(np.abs(eigs - z))) if eigs.size else np.inf
 
 
 def resolvent_apply(ext: Extension, lam: complex, rhs) -> np.ndarray:

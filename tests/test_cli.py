@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from weylscope import cli
 from weylscope.cli import main
 from weylscope.triples import random_triple, triple_to_dict
 
@@ -214,6 +215,19 @@ def test_example_unknown_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"example": "ex99"})
     assert main(["example", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_check_safe_point_draw_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # stands in for a triple whose spectra leave no point of [-4, 4]^2 at
+    # distance > 0.3: the search for test points must stop, not loop forever
+    monkeypatch.setattr(cli, "SAFE_POINT_MAX_DRAWS", 0)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"seed": 3})
+    out = tmp_path / "r.json"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("check failed:") and "0 draws" in err[0]
+    assert not out.exists()
 
 
 def test_check_impossible_tolerance_exits_1(tmp_path):

@@ -22,6 +22,7 @@ from weylscope.triples import (
     resolvent_matrices,
     solution_basis,
     solution_operator,
+    spectrum_distance,
     triple_from_dict,
     triple_to_dict,
 )
@@ -347,6 +348,16 @@ def test_adjoint_eigenvalues_conjugate(rng, ext):
     left = np.sort_complex(extension_eigenvalues(ext))
     right = np.sort_complex(np.conj(extension_eigenvalues(adjoint_extension(ext))))
     np.testing.assert_allclose(left, right, atol=1e-8)
+
+
+def test_spectrum_distance(rng, ext):
+    eigs = extension_eigenvalues(ext)
+    for _ in range(5):
+        z = 3.0 * _rand_vec(rng, 1)[0]
+        assert spectrum_distance(ext, z) == np.min(np.abs(eigs - z))
+    empty = np.zeros((0, 0))
+    bare = Extension(make_triple(empty, empty, empty, empty), empty)
+    assert spectrum_distance(bare, 1j) == np.inf
 
 
 def test_adjoint_m_function_conjugate_transpose(rng, ext):
