@@ -57,6 +57,16 @@ def _decoding(what):
         raise ConfigInvalidError(f"invalid {what}: {exc}") from exc
 
 
+def _known_keys(what, obj, allowed):
+    """Reject a config object that is not a JSON object or has a key outside allowed."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalidError(f"'{what}' must be a JSON object")
+    unknown = sorted(obj.keys() - allowed)
+    if unknown:
+        raise ConfigInvalidError(f"unknown key(s) in {what}: {', '.join(unknown)}")
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -224,9 +234,12 @@ def run_check(config, out_path, seed, tol_override):
 # ------------------------------------------------------------------ run: scan
 
 
-def _scan_grid(config, re_default, eps_default):
-    """The grid object of a scan config, its real-part points and its eps values."""
-    grid = config.get("grid", {})
+def _scan_grid(config, re_default, eps_default, extra_keys=()):
+    """The grid object of a scan config, its real-part points and its eps values.
+
+    The grid may hold re, eps and the model-specific extra_keys, nothing else.
+    """
+    grid = _known_keys("grid", config.get("grid", {}), {"re", "eps", *extra_keys})
     with _decoding("grid"):
         re_lo, re_hi, re_n = grid.get("re", re_default)
         re_points = np.linspace(re_lo, re_hi, int(re_n))
@@ -237,7 +250,8 @@ def _scan_grid(config, re_default, eps_default):
 def _scan_hainlust(model_data, config):
     with _decoding("hainlust model"):
         model = hainlust.model_from_dict(model_data)
-    grid, re_points, eps_values = _scan_grid(config, [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3])
+    grid, re_points, eps_values = _scan_grid(config, [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3],
+                                             ("fd_n",))
     with _decoding("grid"):
         fd_n = int(grid.get("fd_n", 128))
         if fd_n < hainlust.MIN_FD_N:
@@ -269,7 +283,7 @@ def _scan_firstorder(model_data, config):
             ),
         )
     grid, re_points, eps_values = _scan_grid(config, [0.0, 2.0, 10],
-                                             [0.5, 0.125, 0.03125])
+                                             [0.5, 0.125, 0.03125], ("rhs_decay",))
     with _decoding("grid"):
         decay = float(grid.get("rhs_decay", 1.0))
     g = np.exp(-decay * model.grid.nodes)
@@ -360,7 +374,7 @@ def run_contour(config, out_path, seed, tol_override):
                 tr, np.array([[complex(*v) for v in row] for row in hidden])
             )
     ext = triples.Extension(tr, base_ext.bparam)
-    cfg = config.get("contour", {})
+    cfg = _known_keys("contour", config.get("contour", {}), {"center", "radius", "nodes"})
     with _decoding("contour"):
         contour = ContourSpec(
             center=complex(*cfg.get("center", [25.0, 0.0])),
@@ -438,12 +452,13 @@ def run_example(config, out_path, seed, tol_override):
 # ----------------------------------------------------------------------- main
 
 
+# each command's runner and the top-level config keys it reads
 _COMMANDS = {
-    "check": run_check,
-    "scan": run_scan,
-    "eig": run_eig,
-    "contour": run_contour,
-    "example": run_example,
+    "check": (run_check, {"seed", "triple"}),
+    "scan": (run_scan, {"seed", "model", "grid"}),
+    "eig": (run_eig, {"seed", "model", "region", "bparam"}),
+    "contour": (run_contour, {"seed", "triple", "hidden", "contour"}),
+    "example": (run_example, {"seed", "example", "B", "lam0"}),
 }
 
 
@@ -461,13 +476,13 @@ def main(argv=None) -> int:
 
     try:
         config = _load_json(args.config) if args.config else {}
-        if not isinstance(config, dict):
-            raise ConfigInvalidError("config root must be a JSON object")
+        run, keys = _COMMANDS[args.command]
+        _known_keys("config", config, keys)
         with _decoding("seed"):
             seed = args.seed if args.seed is not None else int(config.get("seed", DEFAULT_SEED))
         if args.command == "example" and "example" not in config:
             raise ConfigInvalidError("example command needs 'example' in the config")
-        return _COMMANDS[args.command](config, args.out, seed, args.tol)
+        return run(config, args.out, seed, args.tol)
     except (ConfigInvalidError, ModelUnknownError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,12 +13,16 @@ serves as an independent oracle for spectra, resolvents and the bordered
 resolvent scans.
 
 Coefficients are piecewise polynomials with explicit breakpoints, which
-makes essential ranges exact and lets the integrator restart cleanly at
-the kinks.
+makes essential ranges exact and lets the shooting restart cleanly at the
+kinks.  On a piece where q, u and w are all constant the reduced equation
+has a constant coefficient, and shooting applies its exact transfer matrix;
+only pieces with a non-constant polynomial go through the adaptive
+Dormand-Prince integrator, so the ODE tolerance applies to those alone.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,12 +328,42 @@ class ShootingResult:
         return self.y1_at_1 * self.dy2_at_1 - self.dy1_at_1 * self.y2_at_1
 
 
+def _constant_transfer(c, h, y):
+    """Exact propagation of y'' = c y over width h for two solutions at once.
+
+    The transfer matrix [[cosh(s h), sinh(s h)/s], [c sinh(s h)/s, cosh(s h)]]
+    with s^2 = c is even in s, so any square root serves; a short series
+    replaces it when |s h| is tiny (exactly 1, h, 0 at c = 0).  Raises
+    ToleranceNotMetError when the values leave double range.
+    """
+    t = c * h * h
+    try:
+        if abs(t) < 1e-6:
+            ch = 1.0 + t / 2.0 + t * t / 24.0
+            sh = h * (1.0 + t / 6.0 + t * t / 120.0)
+        else:
+            s = cmath.sqrt(c)
+            ch = cmath.cosh(s * h)
+            sh = cmath.sinh(s * h) / s
+    except OverflowError as exc:
+        raise ToleranceNotMetError(f"transfer over width {h} overflows at c={c}") from exc
+    a, b, p, d = y
+    out = (ch * a + sh * b, c * sh * a + ch * b, ch * p + sh * d, c * sh * p + ch * d)
+    if not all(cmath.isfinite(v) for v in out):
+        raise ToleranceNotMetError(f"solutions leave double range at c={c}")
+    return out
+
+
 def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> ShootingResult:
     """Integrate the scalar reduction across [0,1] for both canonical starts.
 
     Initial values are (cos a, sin a) and (-sin a, cos a); the reduced
     coefficient is q - lam + w^2/(lam - u), which is singular only on the
     essential range of u over the coupling support, kept at distance 1e-8.
+    A piece on which q, u and w are all constant is propagated by its exact
+    transfer matrix; the adaptive integrator, and with it tol, serves only
+    pieces with a non-constant polynomial.  Raises ToleranceNotMetError when
+    the solutions leave double range or the integrator cannot meet tol.
     """
     lam = complex(lam)
     sing = model.essran_on_support()
@@ -351,6 +385,12 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
         uc = model.u.coeffs[model.u.piece_index(mid)]
         wc = model.w.coeffs[model.w.piece_index(mid)]
         coupled = any(abs(cf) > 0 for cf in wc)
+        if not any(cf for cs in (qc, uc, wc) for cf in cs[1:]):
+            c = qc[0] - lam
+            if coupled:
+                c += wc[0] * wc[0] / (lam - uc[0])
+            y = _constant_transfer(c, b - a, y)
+            continue
 
         def coeff(x, qc=qc, uc=uc, wc=wc, coupled=coupled):
             qx = 0.0j

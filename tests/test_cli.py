@@ -141,9 +141,21 @@ def _drop(data, key):
     ("contour", lambda m: {"contour": {"radius": -1}}),
     ("example", lambda m: {"example": "ex2-lower", "lam0": [1, 0]}),
     ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "eps": [0.1], "fd_n": 16}}),
+    ("check", lambda m: {"seed": 3, "tolerances": {"green": 1.0}}),
+    ("eig", lambda m: {"model": m, "region": [0.5, 15.0, -1.0, 1.0], "regoin": [0, 1, 0, 1]}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "fdn": 64}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "fd_n": 64}}),
+    ("scan", lambda m: {"model": m, "grid": [4.0, 6.0, 3]}),
+    ("contour", lambda m: {"contour": {"centre": [25.0, 0.0]}}),
+    ("example", lambda m: {"example": "ex2-lower", "lam_0": [0.0, -1.0]}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
-        "ex2-real-lam0", "fd-n-16"])
+        "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
+        "grid-misspelt-fd-n", "friedrichs-grid-fd-n", "grid-not-object",
+        "contour-misspelt-center", "example-misspelt-lam0"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))

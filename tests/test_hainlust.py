@@ -8,6 +8,7 @@ from weylscope.errors import (
     ContourHitsEssranError,
     GridHitsEssranWError,
     NoConvergenceError,
+    ToleranceNotMetError,
 )
 from weylscope.hainlust import (
     HLModel,
@@ -42,6 +43,13 @@ def step_model():
     u = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((2.0,), (3.0,)))
     w = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((1.0,), (0.0,)))
     return HLModel(q=zero, u=u, w=w, alpha=HALF_PI, beta=HALF_PI)
+
+
+def two_piece_constant_model():
+    """q, u and w constant on [0, 0.4) and on [0.4, 1]; complex q, coupled second piece."""
+    q = PiecewisePoly(breaks=(0.0, 0.4, 1.0), coeffs=((0.5 + 0.2j,), (-1.0, 0.0)))
+    w = PiecewisePoly(breaks=(0.0, 0.4, 1.0), coeffs=((0.0,), (1.5,)))
+    return HLModel(q=q, u=PiecewisePoly.constant(3.0), w=w, alpha=1.1, beta=2.0)
 
 
 def generic_model():
@@ -110,6 +118,69 @@ def test_shoot_allows_essran_without_coupling():
     assert np.isfinite(res.y2_at_1.real)
 
 
+def test_shoot_exact_transfer_matches_integrator():
+    model = two_piece_constant_model()
+    lam = 4.0 + 2.5j
+    ca, sa = np.cos(model.alpha), np.sin(model.alpha)
+    y = (complex(ca), complex(sa), complex(-sa), complex(ca))
+    pieces = [(0.0, 0.4, 0.5 + 0.2j - lam), (0.4, 1.0, -1.0 - lam + 1.5**2 / (lam - 3.0))]
+    for a, b, c in pieces:
+        y = hainlust._rk45_piece(lambda x, c=c: c, a, b, y, 1e-12)
+    res = shoot(model, lam)
+    got = (res.y1_at_1, res.dy1_at_1, res.y2_at_1, res.dy2_at_1)
+    for g, ref in zip(got, y):
+        assert abs(g - ref) <= 1e-9 * abs(ref)
+
+
+def test_shoot_zero_coefficient_gives_linear_solutions():
+    # lam = q = 0 on both uncoupled pieces: y'' = 0, so y = y(0) + y'(0) x
+    zero2 = PiecewisePoly(breaks=(0.0, 0.3, 1.0), coeffs=((0.0,), (0.0,)))
+    model = HLModel(q=zero2, u=PiecewisePoly.constant(5.0), w=zero2, alpha=1.1, beta=2.0)
+    res = shoot(model, 0.0)
+    ca, sa = np.cos(model.alpha), np.sin(model.alpha)
+    assert abs(res.y1_at_1 - (ca + sa)) < 1e-15 and res.dy1_at_1 == sa
+    assert abs(res.y2_at_1 - (ca - sa)) < 1e-15 and res.dy2_at_1 == ca
+
+
+@pytest.mark.parametrize("c", [3e-7 - 4e-7j, 3e-6 + 4e-6j, -2e-5])
+def test_constant_transfer_series_matches_closed_form(c):
+    # |c h^2| below 1e-6 takes the series, above it the cosh/sinh form
+    h = 0.7
+    s = np.sqrt(complex(c))
+    ch, sh = np.cosh(s * h), np.sinh(s * h) / s
+    ref = (ch, c * sh, sh, ch)
+    got = hainlust._constant_transfer(c, h, (1.0, 0.0, 0.0, 1.0))
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-15 * max(abs(r), 1e-300)
+
+
+def test_constant_pieces_never_call_the_integrator(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("adaptive integrator called")
+
+    monkeypatch.setattr(hainlust, "_rk45_piece", refuse)
+    complex_q = HLModel(q=PiecewisePoly.constant(0.4 + 1.2j), u=PiecewisePoly.constant(50.0),
+                        w=PiecewisePoly.constant(0.0), alpha=HALF_PI, beta=HALF_PI)
+    for model in (free_model(), free_model(5.0), step_model(), two_piece_constant_model(),
+                  complex_q):
+        assert np.isfinite(shoot(model, 1.5 + 0.5j).y2_at_1)
+    with pytest.raises(RuntimeError, match="integrator"):
+        shoot(generic_model(), 1.5 + 0.5j)
+
+
+def test_shoot_overflow_raises_tolerance_not_met():
+    model = free_model(u_value=5.0)
+    with pytest.raises(ToleranceNotMetError):
+        shoot(model, -1e6)
+    # still inside double range: m11 = -1/(s tanh s) with s = sqrt(-lam)
+    lam = -4e5
+    res = shoot(model, lam)
+    assert all(np.isfinite(v) for v in (res.y1_at_1, res.dy1_at_1, res.y2_at_1, res.dy2_at_1))
+    s = np.sqrt(-lam)
+    ref = -1.0 / (s * np.tanh(s))
+    assert abs(m_matrix(model, lam)[0, 0] - ref) <= 1e-12 * abs(ref)
+
+
 # ---------------------------------------------------------------- M-matrix
 
 
@@ -161,6 +232,14 @@ def test_eigenvalues_neumann_free():
     assert len(found) == 2
     for f, e in zip(found, expect):
         assert abs(f - e) < 1e-8
+
+
+def test_eigenvalues_neumann_free_to_rounding():
+    # exact transfer on the constant model leaves only rounding in the roots
+    found = eigenvalues_in(free_model(u_value=5.0), 0.5, 50.0, -1.0, 1.0)
+    assert len(found) == 2
+    for j, f in enumerate(found, start=1):
+        assert abs(f - (j * np.pi) ** 2) < 1e-12
 
 
 def test_eigenvalues_empty_region():
