@@ -75,7 +75,22 @@ def _load_json(path):
         raise ConfigInvalidError(f"cannot read JSON file {path}: {exc}") from exc
 
 
+# keys a model object of each type may hold, and those of its nested objects
+_MODEL_KEYS = {
+    "hainlust": ({"type", "q", "u", "w", "alpha", "beta"},
+                 dict.fromkeys(("q", "u", "w"), {"breaks", "coeffs"})),
+    "friedrichs": ({"type", "phi", "psi", "B"},
+                   dict.fromkeys(("phi", "psi"), {"poles", "residues", "orders"})),
+    "firstorder": ({"type", "B", "grid"}, {"grid": {"length", "n"}}),
+}
+
+
 def _resolve_model(config):
+    """The model object of a config, read from its file when given as a path.
+
+    A hainlust, friedrichs or firstorder model may hold only the keys its
+    decoder reads, at the top level and in its nested objects.
+    """
     model = config.get("model")
     if model is None:
         raise ConfigInvalidError("config is missing 'model'")
@@ -83,6 +98,13 @@ def _resolve_model(config):
         model = _load_json(model)
     if not isinstance(model, dict):
         raise ConfigInvalidError("'model' must be a path or an object")
+    keys = _MODEL_KEYS.get(model.get("type"))
+    if keys is not None:
+        top, nested = keys
+        _known_keys("model", model, top)
+        for name, allowed in nested.items():
+            if name in model:
+                _known_keys(f"model.{name}", model[name], allowed)
     return model
 
 

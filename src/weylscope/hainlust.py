@@ -15,9 +15,10 @@ resolvent scans.
 Coefficients are piecewise polynomials with explicit breakpoints, which
 makes essential ranges exact and lets the shooting restart cleanly at the
 kinks.  On a piece where q, u and w are all constant the reduced equation
-has a constant coefficient, and shooting applies its exact transfer matrix;
-only pieces with a non-constant polynomial go through the adaptive
-Dormand-Prince integrator, so the ODE tolerance applies to those alone.
+has a constant coefficient, and shooting applies its exact transfer matrix.
+A piece with a non-constant polynomial is crossed in adaptive fourth-order
+Magnus steps, each the product of two such exact transfers, so the ODE
+tolerance applies to those pieces alone.
 """
 
 from __future__ import annotations
@@ -239,80 +240,6 @@ def model_from_dict(data: dict) -> HLModel:
 
 # ------------------------------------------------------------------ shooting
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def _rk45_piece(coeff, x0, x1, y, tol):
-    """Adaptive embedded stepping of y'' = coeff(x) y for two solutions at once.
-
-    y = (y1, y1', y2, y2') as plain complex scalars; error controlled per
-    unit step so the accumulated error across [0,1] stays near tol.
-    """
-    a, b, c, d = y
-    x = x0
-    span = x1 - x0
-    h = span / 8.0
-    hmin = span * 1e-14
-
-    def stage(cx, sa, sb, sc, sd):
-        return sb, cx * sa, sd, cx * sc
-
-    while x < x1 - 1e-15 * max(1.0, abs(x1)):
-        h = min(h, x1 - x)
-        ks = []
-        for i in range(7):
-            sa, sb, sc, sd = a, b, c, d
-            row = _DP_A[i]
-            for j in range(len(row)):
-                aij = row[j]
-                if aij:
-                    kj = ks[j]
-                    w = h * aij
-                    sa += w * kj[0]
-                    sb += w * kj[1]
-                    sc += w * kj[2]
-                    sd += w * kj[3]
-            ks.append(stage(coeff(x + _DP_C[i] * h), sa, sb, sc, sd))
-        na, nb, nc, nd = a, b, c, d
-        ea = eb = ec = ed = 0.0j
-        for w5, w4, k in zip(_DP_B5, _DP_B4, ks):
-            if w5:
-                na += h * w5 * k[0]
-                nb += h * w5 * k[1]
-                nc += h * w5 * k[2]
-                nd += h * w5 * k[3]
-            dw = w5 - w4
-            if dw:
-                ea += h * dw * k[0]
-                eb += h * dw * k[1]
-                ec += h * dw * k[2]
-                ed += h * dw * k[3]
-        err = max(abs(ea), abs(eb), abs(ec), abs(ed))
-        mag = max(abs(na), abs(nb), abs(nc), abs(nd), 1.0)
-        scale = tol * mag * (h / span + 1e-3)
-        if err <= scale:
-            x += h
-            a, b, c, d = na, nb, nc, nd
-            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
-        else:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-            if h < hmin:
-                raise ToleranceNotMetError("step size underflow in adaptive integrator")
-    return a, b, c, d
-
-
 @dataclass(frozen=True)
 class ShootingResult:
     """End values at x = 1 of the two canonical initial-value solutions."""
@@ -321,8 +248,6 @@ class ShootingResult:
     dy1_at_1: complex
     y2_at_1: complex
     dy2_at_1: complex
-    lam: complex
-    ode_tol: float
 
     def wronskian(self) -> complex:
         return self.y1_at_1 * self.dy2_at_1 - self.dy1_at_1 * self.y2_at_1
@@ -354,6 +279,52 @@ def _constant_transfer(c, h, y):
     return out
 
 
+# commutator-free fourth-order Magnus step: Gauss-node offset and weights
+_GAUSS_OFFSET = 3.0**0.5 / 6.0
+_MAGNUS_A = 0.25 + _GAUSS_OFFSET
+_MAGNUS_B = 0.25 - _GAUSS_OFFSET
+
+
+def _magnus_step(coeff, x, h, y):
+    """One fourth-order step of width h from x: two exact transfers of width h/2.
+
+    The coefficients of the two transfers mix coeff at the Gauss nodes of
+    [x, x + h] (Blanes & Moan 2006), so each step is unimodular.
+    """
+    c1 = coeff(x + (0.5 - _GAUSS_OFFSET) * h)
+    c2 = coeff(x + (0.5 + _GAUSS_OFFSET) * h)
+    y = _constant_transfer(2.0 * (_MAGNUS_A * c1 + _MAGNUS_B * c2), 0.5 * h, y)
+    return _constant_transfer(2.0 * (_MAGNUS_B * c1 + _MAGNUS_A * c2), 0.5 * h, y)
+
+
+def _magnus_piece(coeff, x0, x1, y, tol):
+    """Adaptive Magnus stepping of y'' = coeff(x) y for two solutions at once.
+
+    One step of h against two of h/2 gives the error estimate, controlled
+    per unit step so the accumulated error across [0,1] stays near tol; an
+    accepted step carries their Richardson extrapolation.
+    """
+    x = x0
+    span = x1 - x0
+    h = span / 8.0
+    hmin = span * 1e-14
+    while x < x1 - 1e-15 * max(1.0, abs(x1)):
+        h = min(h, x1 - x)
+        big = _magnus_step(coeff, x, h, y)
+        half = _magnus_step(coeff, x + 0.5 * h, 0.5 * h, _magnus_step(coeff, x, 0.5 * h, y))
+        err = max(abs(p - q) for p, q in zip(half, big)) / 15.0
+        scale = tol * max(1.0, *(abs(v) for v in half)) * (h / span + 1e-3)
+        if err <= scale:
+            x += h
+            y = tuple(p + (p - q) / 15.0 for p, q in zip(half, big))
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
+        else:
+            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+            if h < hmin:
+                raise ToleranceNotMetError("step size underflow in adaptive integrator")
+    return y
+
+
 def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> ShootingResult:
     """Integrate the scalar reduction across [0,1] for both canonical starts.
 
@@ -361,9 +332,10 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
     coefficient is q - lam + w^2/(lam - u), which is singular only on the
     essential range of u over the coupling support, kept at distance 1e-8.
     A piece on which q, u and w are all constant is propagated by its exact
-    transfer matrix; the adaptive integrator, and with it tol, serves only
-    pieces with a non-constant polynomial.  Raises ToleranceNotMetError when
-    the solutions leave double range or the integrator cannot meet tol.
+    transfer matrix; a piece with a non-constant polynomial takes adaptive
+    Magnus steps, each a product of two exact transfers, and tol applies to
+    those pieces alone.  Raises ToleranceNotMetError when the solutions
+    leave double range or the steps cannot meet tol.
     """
     lam = complex(lam)
     sing = model.essran_on_support()
@@ -407,10 +379,8 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
                 val += wx * wx / (lam - ux)
             return val
 
-        y = _rk45_piece(coeff, a, b, y, tol)
-    return ShootingResult(
-        y1_at_1=y[0], dy1_at_1=y[1], y2_at_1=y[2], dy2_at_1=y[3], lam=lam, ode_tol=tol
-    )
+        y = _magnus_piece(coeff, a, b, y, tol)
+    return ShootingResult(y1_at_1=y[0], dy1_at_1=y[1], y2_at_1=y[2], dy2_at_1=y[3])
 
 
 def _robin_at_1(model: HLModel, y: complex, dy: complex) -> complex:

@@ -151,11 +151,24 @@ def _drop(data, key):
     ("scan", lambda m: {"model": m, "grid": [4.0, 6.0, 3]}),
     ("contour", lambda m: {"contour": {"centre": [25.0, 0.0]}}),
     ("example", lambda m: {"example": "ex2-lower", "lam_0": [0.0, -1.0]}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"N": 512}}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "b": [1.0, 0.0]}}),
+    ("scan", lambda m: {"model": {**m, "q": {**m["q"], "degree": 0}}}),
+    ("eig", lambda m: {"model": {**m, "gamma": 1.0}, "region": [0.5, 15.0, -1.0, 1.0]}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]],
+                                          "weights": [1.0]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs", "bparam": [0.0, 0.0],
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}}}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
         "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
         "grid-misspelt-fd-n", "friedrichs-grid-fd-n", "grid-not-object",
-        "contour-misspelt-center", "example-misspelt-lam0"])
+        "contour-misspelt-center", "example-misspelt-lam0", "firstorder-grid-misspelt-n",
+        "firstorder-misspelt-b", "hainlust-poly-extra-key", "eig-hainlust-extra-key",
+        "friedrichs-pole-extra-key", "friedrichs-misspelt-b"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))

@@ -118,18 +118,68 @@ def test_shoot_allows_essran_without_coupling():
     assert np.isfinite(res.y2_at_1.real)
 
 
-def test_shoot_exact_transfer_matches_integrator():
+def test_shoot_exact_transfer_matches_matrix_exponential():
+    # reference: exp of each piece's generator [[0, h], [c h, 0]] by eigendecomposition
     model = two_piece_constant_model()
     lam = 4.0 + 2.5j
     ca, sa = np.cos(model.alpha), np.sin(model.alpha)
-    y = (complex(ca), complex(sa), complex(-sa), complex(ca))
+    fund = np.array([[ca, -sa], [sa, ca]], dtype=complex)
     pieces = [(0.0, 0.4, 0.5 + 0.2j - lam), (0.4, 1.0, -1.0 - lam + 1.5**2 / (lam - 3.0))]
     for a, b, c in pieces:
-        y = hainlust._rk45_piece(lambda x, c=c: c, a, b, y, 1e-12)
+        h = b - a
+        vals, vecs = np.linalg.eig(np.array([[0.0, h], [c * h, 0.0]], dtype=complex))
+        fund = vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs) @ fund
     res = shoot(model, lam)
     got = (res.y1_at_1, res.dy1_at_1, res.y2_at_1, res.dy2_at_1)
-    for g, ref in zip(got, y):
-        assert abs(g - ref) <= 1e-9 * abs(ref)
+    for g, ref in zip(got, fund.T.ravel()):
+        assert abs(g - ref) <= 1e-13 * abs(ref)
+
+
+def _one_piece_model(q, u, w):
+    def poly(cs):
+        return PiecewisePoly(breaks=(0.0, 1.0), coeffs=(cs,))
+
+    return HLModel(q=poly(q), u=poly(u), w=poly(w), alpha=1.1, beta=2.0)
+
+
+def _taylor_end_values(model, lam, terms=400):
+    """(y1, y1', y2, y2') at 1 from the power series of y'' = (c0 + c1 x + c2 x^2) y.
+
+    The coefficient q - lam + w^2/(lam - u) is quadratic for linear q and w
+    and constant u; a_{n+2} = sum_k c_k a_{n-k} / ((n+2)(n+1)).
+    """
+    (q0, q1), (u0,), (w0, w1) = model.q.coeffs[0], model.u.coeffs[0], model.w.coeffs[0]
+    d = lam - u0
+    c = (q0 - lam + w0 * w0 / d, q1 + 2.0 * w0 * w1 / d, w1 * w1 / d)
+    ca, sa = np.cos(model.alpha), np.sin(model.alpha)
+    out = []
+    for y0, dy0 in ((ca, sa), (-sa, ca)):
+        a = [complex(y0), complex(dy0)]
+        for n in range(terms - 2):
+            a.append(sum(c[k] * a[n - k] for k in range(min(n, 2) + 1)) / ((n + 2) * (n + 1)))
+        out += [sum(a), sum(n * an for n, an in enumerate(a))]
+    return out
+
+
+@pytest.mark.parametrize("lam", [2.0 + 3.0j, 10.0 + 1.0j, 50.0 + 0.5j, -20.0 + 0.3j])
+@pytest.mark.parametrize("coeffs", [
+    ((0.3, 1.5), (2.0,), (0.0, 0.0)),    # linear q, no coupling
+    ((0.0, 0.0), (3.0,), (0.8, 0.6)),    # linear w, constant u
+    ((-0.4, 2.0), (2.5,), (1.0, -0.5)),  # both
+])
+def test_shoot_polynomial_piece_matches_taylor_series(coeffs, lam):
+    model = _one_piece_model(*coeffs)
+    res = shoot(model, lam)
+    got = (res.y1_at_1, res.dy1_at_1, res.y2_at_1, res.dy2_at_1)
+    for g, ref in zip(got, _taylor_end_values(model, lam)):
+        assert abs(g - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("lam", [2.0 + 3.0j, 1.0 + 1.0j, 1.5 + 0.5j, 1.0 + 2.0j, 5.0 + 1.0j,
+                                 20.0 + 1.0j])
+def test_shoot_wronskian_conserved_to_rounding(lam):
+    # every step is a product of unimodular transfers
+    assert abs(shoot(generic_model(), lam).wronskian() - 1.0) <= 1e-13
 
 
 def test_shoot_zero_coefficient_gives_linear_solutions():
@@ -158,7 +208,7 @@ def test_constant_pieces_never_call_the_integrator(monkeypatch):
     def refuse(*args):
         raise RuntimeError("adaptive integrator called")
 
-    monkeypatch.setattr(hainlust, "_rk45_piece", refuse)
+    monkeypatch.setattr(hainlust, "_magnus_piece", refuse)
     complex_q = HLModel(q=PiecewisePoly.constant(0.4 + 1.2j), u=PiecewisePoly.constant(50.0),
                         w=PiecewisePoly.constant(0.0), alpha=HALF_PI, beta=HALF_PI)
     for model in (free_model(), free_model(5.0), step_model(), two_piece_constant_model(),
