@@ -10,7 +10,10 @@ reduction -y'' + (q - lam) y + w^2/(lam - u) y = 0; eigenvalues are zeros
 of the boundary-condition denominator, located by the argument principle
 and polished by Newton; a second-order finite-difference discretization
 serves as an independent oracle for spectra, resolvents and the bordered
-resolvent scans.
+resolvent scans.  The scans measure the two-sided resolvent jumps in the
+trapezoid-weighted inner product, in which the discretization of real
+coefficients is self-adjoint: one eigvalsh per discretization then gives
+every jump, and each is bounded by 2/|eps|.
 
 Coefficients are piecewise polynomials with explicit breakpoints, which
 makes essential ranges exact and lets the shooting restart cleanly at the
@@ -600,7 +603,8 @@ def discretize(model: HLModel, n: int):
     """Second-order finite-difference matrix of the full block operator.
 
     Returns (matrix, meta): the 2(n+1) square matrix on values at nodes
-    i/n with Robin rows from ghost-point elimination, and meta holding the
+    i/n with Robin rows from ghost-point elimination, real when q, u and w
+    are real and complex otherwise, and meta holding the
     nodes, the trapezoid weights and the coupling-support node mask.
     """
     if n < MIN_FD_N:
@@ -608,7 +612,10 @@ def discretize(model: HLModel, n: int):
     h = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
     npts = n + 1
-    lap = np.zeros((npts, npts), dtype=complex)
+    q, w, u = (c if c.imag.any() else c.real for c in (model.q(x), model.w(x), model.u(x)))
+    # filled in place: the blocks are views, so no block copy is ever made
+    mat = np.zeros((2 * npts, 2 * npts), dtype=np.result_type(q, w, u))
+    lap = mat[:npts, :npts]
     for i in range(1, n):
         lap[i, i - 1] = lap[i, i + 1] = -1.0 / h**2
         lap[i, i] = 2.0 / h**2
@@ -619,15 +626,13 @@ def discretize(model: HLModel, n: int):
     lap[0, 1] = -2.0 / h**2
     lap[n, n] = (2.0 + 2.0 * h * cot_b) / h**2
     lap[n, n - 1] = -2.0 / h**2
-    qd = np.diag(model.q(x))
-    wd = np.diag(model.w(x))
-    ud = np.diag(model.u(x))
-    top = np.hstack([lap + qd, wd])
-    bot = np.hstack([wd, ud])
-    mat = np.vstack([top, bot])
+    diag = np.arange(npts)
+    lap[diag, diag] += q
+    mat[diag, npts + diag] = mat[npts + diag, diag] = w
+    mat[npts + diag, npts + diag] = u
     weights = np.full(npts, h)
     weights[0] = weights[-1] = h / 2.0
-    mask = np.abs(model.w(x)) > 0
+    mask = np.abs(w) > 0
     meta = {"nodes": x, "weights": weights, "support_mask": mask, "h": h}
     return mat, meta
 
@@ -645,17 +650,48 @@ def _resolvent_dense(mat, lam):
         raise LambdaInSpectrumError(str(exc)) from exc
 
 
-def _jump_norms(mat, proj, lam):
-    """Norms of R(lam) - R(conj lam), uncompressed and compressed by diag(proj).
+def _jump_norms(model: HLModel, n: int):
+    """The map lam -> (full, bordered) of two-sided resolvent jump norms.
 
-    For a real matrix R(conj lam) = conj R(lam), so the jump is 2i Im R(lam)
-    and one solve gives both norms; complex coefficients need both solves.
+    Both are norms of R(lam) - R(conj lam) for the n-point discretization,
+    taken in the trapezoid-weighted inner product, in which the
+    discretization of real coefficients is self-adjoint: ||D^1/2 J D^-1/2||_2
+    with D the weights on both components.  A second-component node off the
+    coupling support decouples (its row and column hold only u there), so
+    ran P is reducing: the bordered jump is the jump of the restriction to
+    the kept nodes, and the full jump is the larger of it and the scalar
+    jumps at the decoupled nodes.  For real coefficients one eigvalsh of the
+    weighted, symmetric restriction gives every point in O(n), at most
+    2/|Im lam|; complex coefficients solve on the restriction at lam and
+    conj lam.
     """
-    if not mat.imag.any():
-        jump = 2.0 * _resolvent_dense(mat, lam).imag
+    mat, meta = discretize(model, n)
+    keep = _projector_diag(meta) > 0
+    root = np.sqrt(np.tile(meta["weights"], 2)[keep])
+    u_off = mat.diagonal()[~keep]
+    sub = mat[np.ix_(keep, keep)]
+    del mat  # only the restriction is used from here on; free the full matrix
+    if not np.iscomplexobj(sub):
+        sub *= root[:, None]
+        sub /= root[None, :]
+        sub += sub.T
+        sub *= 0.5
+        mu = np.linalg.eigvalsh(sub)
+
+        def bordered(lam):
+            eps = abs(lam.imag)
+            return float(np.max(2.0 * eps / ((mu - lam.real) ** 2 + eps**2)))
     else:
-        jump = _resolvent_dense(mat, lam) - _resolvent_dense(mat, np.conj(lam))
-    return matrix_norm2(jump), matrix_norm2(proj[:, None] * jump * proj[None, :])
+        def bordered(lam):
+            jump = _resolvent_dense(sub, lam) - _resolvent_dense(sub, np.conj(lam))
+            return matrix_norm2(root[:, None] * jump / root[None, :])
+
+    def norms(lam):
+        inner = bordered(lam)
+        off = np.abs(1.0 / (u_off - lam) - 1.0 / (u_off - np.conj(lam)))
+        return max(inner, float(off.max(initial=0.0))), inner
+
+    return norms
 
 
 def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
@@ -664,12 +700,14 @@ def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
     For each re point and eps the rows report the norm of R(x+i eps) -
     R(x-i eps) both uncompressed and compressed to the subspace pairing the
     full first component with the second component restricted to the
-    coupling support.  Every scan point must keep a complex distance of
-    1e-3 from the essential range over the coupling support.
+    coupling support.  The norms are taken in the trapezoid-weighted inner
+    product of the n-point discretization; for real coefficients they come
+    from one eigvalsh per discretization and never exceed 2/|eps|.  Every
+    scan point must keep a complex distance of 1e-3 from the essential
+    range over the coupling support.
     """
     sing = model.essran_on_support()
-    mat, meta = discretize(model, n)
-    p = _projector_diag(meta)
+    jump_norms = _jump_norms(model, n)
     rows = []
     for x0 in re_points:
         for eps in eps_values:
@@ -678,7 +716,7 @@ def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
                 raise GridHitsEssranWError(
                     f"scan point {lam} within 1e-3 of the singular set"
                 )
-            full, bordered = _jump_norms(mat, p, lam)
+            full, bordered = jump_norms(lam)
             rows.append(
                 {
                     "re_lambda": float(x0),
@@ -696,25 +734,22 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
     One row per (re, eps), in grid order: re, eps, the real and imaginary
     parts of m11, m12, m21, m22, |denominator|, full jump, bordered jump.
     M entries and |denominator| are NaN where shooting fails; jumps are NaN
-    within 1e-3 of the singular set.  The jumps use the n-point
-    discretization, depend on |eps| only and are computed once per
-    (re, |eps|).
+    within 1e-3 of the singular set.  The jumps are those of bordered_scan
+    at (re, |eps|) on the n-point discretization: trapezoid-weighted norms,
+    from one eigvalsh per scan for real coefficients and then bounded by
+    2/|eps|.
     """
     sing = model.essran_on_support()
-    mat, meta = discretize(model, n)
-    p = _projector_diag(meta)
+    jump_norms = _jump_norms(model, n)
     nan = complex(np.nan, np.nan)
     rows = []
     for x0 in re_points:
-        jumps = {}
         for eps in eps_values:
-            height = abs(eps)
-            if height not in jumps:
-                lam = complex(x0, height)
-                if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
-                    jumps[height] = (np.nan, np.nan)
-                else:
-                    jumps[height] = _jump_norms(mat, p, lam)
+            lam = complex(x0, abs(eps))
+            if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
+                jumps = (np.nan, np.nan)
+            else:
+                jumps = jump_norms(lam)
             try:
                 m, den = _shoot_m(model, complex(x0, eps), DEFAULT_ODE_TOL)
                 mvals, den_abs = m.ravel(), abs(den)
@@ -723,7 +758,7 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
             row = [x0, eps]
             for v in mvals:
                 row.extend([v.real, v.imag])
-            row.extend([den_abs, *jumps[height]])
+            row.extend([den_abs, *jumps])
             rows.append(row)
     return rows
 
@@ -732,16 +767,18 @@ def reducing_residual(model: HLModel, lam: complex, n: int = 400,
                       mask_override=None) -> float:
     """Defect of the coupling-support subspace being reducing for the resolvent.
 
-    |(I-P) R P| + |P R (I-P)| on the discretization; exactly zero in exact
-    arithmetic because the off-support second component decouples.
-    mask_override substitutes a (wrong) support mask, as a negative control.
+    |(I-P) R P| + |P R (I-P)| on the discretization, in the trapezoid-weighted
+    norm of the jumps; exactly zero in exact arithmetic because the
+    off-support second component decouples.  mask_override substitutes a
+    (wrong) support mask, as a negative control.
     """
     mat, meta = discretize(model, n)
     if mask_override is not None:
         meta = dict(meta)
         meta["support_mask"] = np.asarray(mask_override, dtype=bool)
     p = _projector_diag(meta)
-    r = _resolvent_dense(mat, lam)
+    root = np.sqrt(np.tile(meta["weights"], 2))
+    r = root[:, None] * _resolvent_dense(mat, lam) / root[None, :]
     off = (1.0 - p)[:, None] * r * p[None, :]
     off2 = p[:, None] * r * (1.0 - p)[None, :]
     return float(matrix_norm2(off) + matrix_norm2(off2))

@@ -37,11 +37,11 @@ def free_model(u_value=0.0):
                    alpha=HALF_PI, beta=HALF_PI)
 
 
-def step_model():
+def step_model(coupling=1.0):
     """u jumps from 2 to 3 at 1/2; coupling supported on [0, 1/2)."""
     zero = PiecewisePoly.constant(0.0)
     u = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((2.0,), (3.0,)))
-    w = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((1.0,), (0.0,)))
+    w = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((coupling,), (0.0,)))
     return HLModel(q=zero, u=u, w=w, alpha=HALF_PI, beta=HALF_PI)
 
 
@@ -442,31 +442,66 @@ def test_scan_rows_match_m_matrix_and_bordered_scan():
         assert (row[11], row[12]) == (ref["full_jump"], ref["bordered_jump"])
 
 
-@pytest.mark.parametrize("coupling, solves", [(1.0, 1), (1.0 + 0.5j, 2)])
+@pytest.mark.parametrize("coupling, solves", [(1.0, 0), (1.0 + 0.5j, 2)])
 def test_jump_norms_match_two_solve_reference(monkeypatch, coupling, solves):
-    # a real discretization needs one solve per point (R(conj lam) = conj R(lam));
-    # complex coupling keeps both
-    u = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((2.0,), (3.0,)))
-    w = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((coupling,), (0.0,)))
-    model = HLModel(q=PiecewisePoly.constant(0.0), u=u, w=w, alpha=HALF_PI, beta=HALF_PI)
+    # reference: full two-sided solves, then the top singular value of the
+    # trapezoid-weighted jump and of its compression; a real discretization
+    # needs no solve at all, complex coupling two per point on the restriction
+    model = step_model(coupling)
     mat, meta = discretize(model, 240)
     proj = hainlust._projector_diag(meta)
+    root = np.sqrt(np.tile(meta["weights"], 2))
     eye = np.eye(mat.shape[0])
-    calls = []
+    kept = mat.shape[0] - int((~meta["support_mask"]).sum())
+    shapes = []
     solve = hainlust._resolvent_dense
     monkeypatch.setattr(hainlust, "_resolvent_dense",
-                        lambda m, lam: calls.append(lam) or solve(m, lam))
+                        lambda m, lam: shapes.append(m.shape) or solve(m, lam))
+    jump_norms = hainlust._jump_norms(model, 240)
     points = [2.0 + 1e-2j, 2.5 + 5e-4j, 3.0 + 5e-4j]
     for lam in points:
-        full, bordered = hainlust._jump_norms(mat, proj, lam)
+        full, bordered = jump_norms(lam)
         jump = (np.linalg.solve(mat - lam * eye, eye)
                 - np.linalg.solve(mat - np.conj(lam) * eye, eye))
-        ref_full = np.linalg.svd(jump, compute_uv=False)[0]
-        ref_bordered = np.linalg.svd(proj[:, None] * jump * proj[None, :],
+        weighted = root[:, None] * jump / root[None, :]
+        ref_full = np.linalg.svd(weighted, compute_uv=False)[0]
+        ref_bordered = np.linalg.svd(proj[:, None] * weighted * proj[None, :],
                                      compute_uv=False)[0]
-        assert abs(full - ref_full) <= 1e-12 * ref_full
-        assert abs(bordered - ref_bordered) <= 1e-12 * ref_bordered
-    assert len(calls) == solves * len(points)
+        assert abs(full - ref_full) <= 1e-8 * ref_full
+        assert abs(bordered - ref_bordered) <= 1e-8 * ref_bordered
+    assert shapes == [(kept, kept)] * (solves * len(points))
+
+
+def test_full_jump_within_self_adjoint_bound():
+    # for real coefficients the discretization is self-adjoint in the weighted
+    # inner product, so ||R(x+i eps) - R(x-i eps)|| <= 2/eps
+    rows = bordered_scan(step_model(), [2.0], [1e-2, 3e-3, 1e-3], n=320)
+    for r in rows:
+        assert r["full_jump"] <= 2.0 / r["eps"]
+
+
+def test_off_support_second_component_decouples():
+    model = step_model()
+    mat, meta = discretize(model, 64)
+    npts = meta["nodes"].size
+    off = npts + np.flatnonzero(~meta["support_mask"])
+    assert off.size > 0
+    for i in off:
+        row, col = mat[i].copy(), mat[:, i].copy()
+        assert row[i] == col[i] == model.u(meta["nodes"][i - npts])
+        row[i] = col[i] = 0.0
+        assert not row.any() and not col.any()
+
+
+@pytest.mark.parametrize("coupling", [1.0, 1.0 + 0.5j])
+def test_full_jump_is_bordered_or_off_support_jump(coupling):
+    model = step_model(coupling)
+    _, meta = discretize(model, 64)
+    u_off = model.u(meta["nodes"][~meta["support_mask"]])
+    for r in bordered_scan(model, [1.5, 2.5, 3.0], [0.1, 5e-3, -5e-3], n=64):
+        lam = complex(r["re_lambda"], r["eps"])
+        off = np.abs(1.0 / (u_off - lam) - 1.0 / (u_off - np.conj(lam))).max()
+        assert r["full_jump"] == max(r["bordered_jump"], off)
 
 
 def test_bordered_reduces_to_schroedinger_block_when_uncoupled():
