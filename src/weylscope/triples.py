@@ -44,7 +44,7 @@ from .errors import (
 )
 from .numerics import DEFAULT_RANK_TOL, matrix_norm2, orthonormal_basis
 
-SPECTRUM_SV_TOL = 1e-10
+SPECTRUM_RCOND = 1e-10
 
 
 def _as_matrix(a, rows, cols, name):
@@ -315,24 +315,26 @@ def adjoint_extension(ext: Extension) -> Extension:
     return Extension(ext.triple.swap(), ext.bparam.conj().T)
 
 
-def _action_minus(tr: FiniteTriple, lam: complex) -> np.ndarray:
-    out = tr.action.copy()
-    m = tr.state_dim
-    out[:, :m] -= lam * np.eye(m)
-    return out
+def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
+    """Inverse of the stacked system [action - lam*value; bnd1 - B bnd2] (n x n).
 
-
-def _stacked(ext: Extension, lam: complex) -> np.ndarray:
-    return np.vstack([_action_minus(ext.triple, lam), ext.constraint])
-
-
-def _solve_stacked(ext: Extension, lam: complex, top: np.ndarray, bottom: np.ndarray):
-    mat = _stacked(ext, lam)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= SPECTRUM_SV_TOL * max(sv[0], 1e-300):
+    Its leading m columns are the resolvent R_B(lam) in domain coordinates,
+    its trailing h columns the solution basis S(lam).  One LU per call.  lam
+    counts as spectral when the solve fails, the inverse is not finite, or
+    |A|_F |A^-1|_F >= 1/SPECTRUM_RCOND; since |.|_2 <= |.|_F this rejects
+    every lam with sigma_min(A) <= SPECTRUM_RCOND sigma_max(A).
+    """
+    m = ext.triple.state_dim
+    mat = np.vstack([ext.triple.action, ext.constraint])
+    mat[:m, :m] -= lam * np.eye(m)
+    try:
+        inv = np.linalg.solve(mat, np.eye(mat.shape[0], dtype=complex))
+    except np.linalg.LinAlgError:
+        inv = None
+    if (inv is None or not np.all(np.isfinite(inv))
+            or np.linalg.norm(mat) * np.linalg.norm(inv) * SPECTRUM_RCOND >= 1.0):
         raise LambdaInSpectrumError(f"lambda={lam} is in the spectrum of the restriction")
-    rhs = np.concatenate([top, bottom], axis=0)
-    return np.linalg.solve(mat, rhs)
+    return inv
 
 
 def extension_matrix(ext: Extension):
@@ -356,7 +358,9 @@ def extension_operator(ext: Extension) -> np.ndarray:
     """The restriction as a plain matrix on the state space.
 
     Domain vectors are determined by their state values, so the operator is
-    (action @ Q) (value @ Q)^{-1} for a domain basis Q.
+    (action @ Q) (value @ Q)^{-1} for a domain basis Q.  Raises
+    RankDeficientBoundaryError when value @ Q is singular: the domain then
+    holds a vector with zero state value and the restriction is no operator.
     """
     tr = ext.triple
     q, act = extension_matrix(ext)
@@ -365,6 +369,10 @@ def extension_operator(ext: Extension) -> np.ndarray:
             "restriction domain does not match the state dimension"
         )
     vq = q[: tr.state_dim, :]
+    if vq.size and np.linalg.svd(vq, compute_uv=False)[-1] <= DEFAULT_RANK_TOL:
+        raise RankDeficientBoundaryError(
+            "restriction domain holds a vector with zero state value"
+        )
     return np.linalg.solve(vq.conj().T, act.conj().T).conj().T
 
 
@@ -385,23 +393,24 @@ def spectrum_distance(ext: Extension, z: complex) -> float:
 def resolvent_apply(ext: Extension, lam: complex, rhs) -> np.ndarray:
     """Solve (action - lam * value) x = rhs with (bnd1 - B bnd2) x = 0.
 
-    rhs is a state vector (length m); the result is returned in domain
-    coordinates (length n), whose leading m entries are its state values.
+    rhs is a state vector (length m) or a family of them; the result is in
+    domain coordinates (length n), whose leading m entries are its state
+    values.  It is the resolvent block of the stacked inverse times rhs.
     """
-    tr = ext.triple
-    rhs = np.asarray(rhs, dtype=complex)
-    return _solve_stacked(ext, lam, rhs, np.zeros((tr.h,) + rhs.shape[1:], dtype=complex))
+    coords, _ = resolvent_matrices(ext, lam)
+    return coords @ np.asarray(rhs, dtype=complex)
 
 
 def resolvent_matrices(ext: Extension, lam: complex):
     """(coords, values) of the resolvent applied to the state-space identity.
 
-    coords is n x m (domain coordinates column by column), values = its
-    leading m rows, i.e. the resolvent as an m x m state-space operator.
+    coords is n x m (domain coordinates column by column), the leading m
+    columns of the stacked inverse; values = its leading m rows, i.e. the
+    resolvent R_B(lam) as an m x m state-space operator.
     """
-    tr = ext.triple
-    coords = resolvent_apply(ext, lam, np.eye(tr.state_dim, dtype=complex))
-    return coords, coords[: tr.state_dim]
+    m = ext.triple.state_dim
+    coords = _stacked_inverse(ext, lam)[:, :m]
+    return coords, coords[:m]
 
 
 def solution_operator(ext: Extension, lam: complex, f) -> np.ndarray:
@@ -409,30 +418,33 @@ def solution_operator(ext: Extension, lam: complex, f) -> np.ndarray:
 
     Returned in domain coordinates; its leading m entries are the state
     values.  Defined for every lam outside the finite spectrum of the
-    restriction, and analytic there.
+    restriction, and analytic there.  It is solution_basis(ext, lam) @ f.
     """
-    tr = ext.triple
-    f = np.asarray(f, dtype=complex)
-    return _solve_stacked(ext, lam, np.zeros((tr.state_dim,) + f.shape[1:], dtype=complex), f)
+    return solution_basis(ext, lam) @ np.asarray(f, dtype=complex)
 
 
 def solution_basis(ext: Extension, lam: complex) -> np.ndarray:
-    """Solution operator applied to the identity on boundary data (n x h)."""
-    return solution_operator(ext, lam, np.eye(ext.triple.h, dtype=complex))
+    """Solution operator applied to the identity on boundary data (n x h).
+
+    The trailing h columns of the stacked inverse, copied: a view would keep
+    the whole n x n inverse alive in callers that hold many bases.
+    """
+    return _stacked_inverse(ext, lam)[:, ext.triple.state_dim:].copy()
 
 
 def hilbert_identity_residual(ext: Extension, lam: complex, lam0: complex, f) -> float:
     """Residual of the resolvent-difference identity for solution operators.
 
     Compares the solution at lam with the solution at lam0 corrected by
-    (lam - lam0) times the resolvent at lam, in state values.
+    (lam - lam0) times the resolvent at lam, in state values.  One stacked
+    inverse per point gives both R(lam) and S(lam).
     """
-    tr = ext.triple
+    m = ext.triple.state_dim
     f = np.asarray(f, dtype=complex)
-    left = tr.values(solution_operator(ext, lam, f))
-    base = solution_operator(ext, lam0, f)
-    corr = resolvent_apply(ext, lam, tr.values(base))
-    right = tr.values(base) + (lam - lam0) * tr.values(corr)
+    inv = _stacked_inverse(ext, lam)
+    base = _stacked_inverse(ext, lam0)[:m, m:] @ f
+    left = inv[:m, m:] @ f
+    right = base + (lam - lam0) * (inv[:m, :m] @ base)
     return float(np.linalg.norm(left - right))
 
 
@@ -464,17 +476,19 @@ def krein_residual(ext_b: Extension, ext_c: Extension, lam: complex) -> float:
     the boundary data:
 
         R_B = R_C - S_C (I + (B-C) M_B) (C-B) bnd2 R_C.
+
+    R_B and M_B come from one stacked inverse, R_C and S_C from another.
     """
     if ext_b.triple is not ext_c.triple and not _same_triple(ext_b.triple, ext_c.triple):
         raise ValueError("extensions must share the owner triple")
     tr = ext_b.triple
-    _, rb = resolvent_matrices(ext_b, lam)
-    coords_c, rc = resolvent_matrices(ext_c, lam)
-    sol_c = tr.values(solution_basis(ext_c, lam))
-    mb = m_function(ext_b, lam)
+    m = tr.state_dim
+    inv_b = _stacked_inverse(ext_b, lam)
+    inv_c = _stacked_inverse(ext_c, lam)
+    mb = tr.bnd2 @ inv_b[:, m:]
     diff = ext_b.bparam - ext_c.bparam
-    correction = sol_c @ (np.eye(tr.h) + diff @ mb) @ (-diff) @ (tr.bnd2 @ coords_c)
-    gap = rb - (rc - correction)
+    correction = inv_c[:m, m:] @ (np.eye(tr.h) + diff @ mb) @ (-diff) @ (tr.bnd2 @ inv_c[:, :m])
+    gap = inv_b[:m, :m] - (inv_c[:m, :m] - correction)
     return matrix_norm2(gap)
 
 

@@ -255,6 +255,22 @@ def test_check_safe_point_draw_cap_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_eig_singular_value_block_exits_1(tmp_path, capsys):
+    # this bparam puts a zero-state vector into the domain; the restriction has
+    # no state-space matrix, so eig must fail instead of printing a huge eigenvalue
+    tr = random_triple(np.random.default_rng(3), 3, 1, 1)
+    b = tr.bnd1[0, 3] / tr.bnd2[0, 3]
+    triple_file = tmp_path / "triple.json"
+    write_json(triple_file, triple_to_dict(tr))
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": str(triple_file), "bparam": [[[b.real, b.imag]]]})
+    out = tmp_path / "eig.json"
+    assert main(["eig", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("check failed:")
+    assert not out.exists()
+
+
 def test_check_impossible_tolerance_exits_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"seed": 3})

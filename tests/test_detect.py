@@ -289,6 +289,15 @@ def test_saturated_space_independent_of_bparam_observation(rng):
     assert np.max(principal_angles(space_a.basis, space_b.basis)) < 1e-8
 
 
+def test_detection_report_one_solve_per_node(hidden_ext, solve_calls):
+    spec = saturated_sampling(hidden_ext)
+    s_basis = build_resolvent_space(hidden_ext, spec)
+    s_adj, _ = build_adjoint_spaces(hidden_ext, spec)
+    solve_calls.clear()
+    detection_report(hidden_ext, ContourSpec(center=25.0, radius=1.0, nodes=64), s_adj, s_basis)
+    assert len(solve_calls) == 64
+
+
 def test_detection_report_fields(hidden_ext):
     spec = saturated_sampling(hidden_ext)
     s_basis = build_resolvent_space(hidden_ext, spec)

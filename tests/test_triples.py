@@ -215,6 +215,61 @@ def test_resolvent_rejects_spectrum(rng, ext):
         resolvent_apply(ext, complex(lam), np.ones(ext.triple.state_dim))
 
 
+def _jordan_extension():
+    # 3 x 3 Jordan block at 2, similarity-transformed: its computed eigenvalues
+    # lie ~1e-5 from 2, so a distance-to-spectrum gate would pass lam = 2
+    sim = np.random.default_rng(11).standard_normal((3, 3))
+    jordan = 2.0 * np.eye(3) + np.eye(3, k=1)
+    action = sim @ jordan @ np.linalg.inv(sim)
+    empty = np.zeros((0, 3))
+    return Extension(make_triple(action, empty, empty, empty), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("lam", [2.0, 2.0 + 1e-9, 2.0 + 1e-6])
+def test_resolvent_rejects_jordan_block_eigenvalue(lam):
+    with pytest.raises(LambdaInSpectrumError):
+        resolvent_matrices(_jordan_extension(), lam)
+
+
+def test_gate_rejects_every_point_the_svd_test_rejects():
+    # wherever sigma_min <= 1e-10 sigma_max for the stacked system, the solve
+    # must raise; a weaker gate would let near-singular points through
+    rng = np.random.default_rng(2401)
+    rejected = 0
+    for _ in range(60):
+        m, h, k = int(rng.integers(2, 30)), int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        ext = random_extension(rng, random_triple(rng, m, h, k))
+        eig = complex(rng.choice(extension_eigenvalues(ext)))
+        for dist in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            lam = eig + dist * np.exp(2j * np.pi * rng.uniform())
+            mat = np.vstack([ext.triple.action - lam * np.eye(m, m + h), ext.constraint])
+            sv = np.linalg.svd(mat, compute_uv=False)
+            if sv[-1] <= 1e-10 * sv[0]:
+                rejected += 1
+                with pytest.raises(LambdaInSpectrumError):
+                    resolvent_matrices(ext, lam)
+    assert rejected >= 60
+
+
+def test_krein_and_hilbert_take_one_solve_per_point(rng, triple, solve_calls):
+    ext_b = random_extension(rng, triple)
+    ext_c = random_extension(rng, triple)
+    lam, lam0 = _safe_lambda(ext_b, rng), _safe_lambda(ext_b, rng)
+    f = _rand_vec(rng, triple.h)
+    solve_calls.clear()  # drop the spectrum's solve
+    krein_residual(ext_b, ext_c, lam)
+    assert len(solve_calls) == 2
+    hilbert_identity_residual(ext_b, lam, lam0, f)
+    assert len(solve_calls) == 4
+
+
+def test_solution_basis_owns_its_data(rng, ext):
+    # a view into the n x n stacked inverse would keep all of it alive
+    basis = solution_basis(ext, _safe_lambda(ext, rng))
+    assert basis.flags.owndata
+    assert basis.shape == (ext.triple.dom_dim, ext.triple.h)
+
+
 def test_resolvent_matches_operator_inverse(rng, ext):
     lam = _safe_lambda(ext, rng)
     op = extension_operator(ext)
@@ -336,6 +391,17 @@ def test_m_via_resolvent_coincident(rng, ext):
 
 
 # ---------------------------------------------------------------- adjoint side
+
+
+def test_extension_operator_rejects_zero_state_domain_vector():
+    # bparam cancels the constraint's defect column, so the domain holds the
+    # pure defect coordinate, whose state value is zero: no state-space matrix
+    tr = random_triple(np.random.default_rng(3), 3, 1, 1)
+    ext = Extension(tr, np.array([[tr.bnd1[0, 3] / tr.bnd2[0, 3]]]))
+    with pytest.raises(RankDeficientBoundaryError):
+        extension_operator(ext)
+    with pytest.raises(RankDeficientBoundaryError):
+        extension_eigenvalues(ext)
 
 
 def test_adjoint_extension_is_matrix_adjoint(rng, ext):
