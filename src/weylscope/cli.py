@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -259,13 +260,17 @@ def run_check(config, out_path, seed, tol_override):
 def _scan_grid(config, re_default, eps_default, extra_keys=()):
     """The grid object of a scan config, its real-part points and its eps values.
 
-    The grid may hold re, eps and the model-specific extra_keys, nothing else.
+    The grid may hold re, eps and the model-specific extra_keys, nothing else;
+    the numbers in re and eps must be finite (JSON as read by Python admits
+    NaN and Infinity).
     """
     grid = _known_keys("grid", config.get("grid", {}), {"re", "eps", *extra_keys})
     with _decoding("grid"):
         re_lo, re_hi, re_n = grid.get("re", re_default)
-        re_points = np.linspace(re_lo, re_hi, int(re_n))
         eps_values = [float(e) for e in grid.get("eps", eps_default)]
+        if not all(math.isfinite(v) for v in (re_lo, re_hi, re_n, *eps_values)):
+            raise ValueError("re and eps must be finite")
+        re_points = np.linspace(re_lo, re_hi, int(re_n))
     return grid, re_points, eps_values
 
 
@@ -308,6 +313,8 @@ def _scan_firstorder(model_data, config):
                                              [0.5, 0.125, 0.03125], ("rhs_decay",))
     with _decoding("grid"):
         decay = float(grid.get("rhs_decay", 1.0))
+        if not math.isfinite(decay):
+            raise ValueError("rhs_decay must be finite")
     g = np.exp(-decay * model.grid.nodes)
     lams = [complex(x0, -abs(e)) for x0 in re_points for e in eps_values]
     header = ["re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im"]

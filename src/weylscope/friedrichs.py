@@ -18,6 +18,7 @@ half plane exactly when all of its poles lie in the lower half plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -277,40 +278,71 @@ def _check_lambda(lam: complex, f_conj_poles=()):
             raise PoleCollisionError(f"lambda={lam} collides with pole {p}")
 
 
+class _ModelSums:
+    """The pole sums of a model that do not depend on lam.
+
+    Built once per model, then shared by every lam of a scan: psi, conj(phi),
+    their poles and (on first use) the product psi conj(phi).
+    """
+
+    def __init__(self, model: FriedrichsModel):
+        self.psi = model.psi.as_polesum()
+        self.conj_phi = model.phi.as_polesum().conjugate()
+        self.psi_poles = self.psi.poles()
+        self.conj_phi_poles = self.conj_phi.poles()
+
+    @cached_property
+    def psi_conj_phi(self) -> PoleSum:
+        return self.psi * self.conj_phi
+
+
+def _cauchy(ps: PoleSum, lam: complex) -> complex:
+    """Integral of ps(x) / (x - lam) over the line, by residues (no lam check)."""
+    return (ps * PoleSum.single(lam)).line_integral()
+
+
 def cauchy_transform(f: RationalH2, lam: complex) -> complex:
     """<(x-lam)^{-1}, f> = integral of conj(f(x)) / (x - lam) dx, by residues."""
     lam = complex(lam)
     conj_f = f.as_polesum().conjugate()
     _check_lambda(lam, conj_f.poles())
-    return (conj_f * PoleSum.single(lam)).line_integral()
+    return _cauchy(conj_f, lam)
+
+
+def _transforms(sums: _ModelSums, lam: complex):
+    """(I_psi, I_phi) from precomputed sums; checks lam against both pole sets."""
+    _check_lambda(lam, sums.psi_poles)
+    _check_lambda(lam, sums.conj_phi_poles)
+    i_phi = _cauchy(sums.conj_phi, lam)
+    return _cauchy(sums.psi, lam), i_phi
+
+
+def _determinant(sums: _ModelSums, lam: complex) -> complex:
+    """D(lam) from precomputed sums; checks only that lam is nonreal."""
+    _check_lambda(lam)
+    return 1.0 + _cauchy(sums.psi_conj_phi, lam)
 
 
 def transform_pair(model: FriedrichsModel, lam: complex):
     """(I_psi, I_phi): integral of psi/(x-lam) and of conj(phi)/(x-lam)."""
-    lam = complex(lam)
-    psi_ps = model.psi.as_polesum()
-    _check_lambda(lam, psi_ps.poles())
-    i_phi = cauchy_transform(model.phi, lam)
-    return (psi_ps * PoleSum.single(lam)).line_integral(), i_phi
+    return _transforms(_ModelSums(model), complex(lam))
 
 
 def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
     """D(lam) = 1 + integral of psi(x) conj(phi(x)) / (x - lam) dx."""
-    lam = complex(lam)
-    _check_lambda(lam)
-    prod = model.psi.as_polesum() * model.phi.as_polesum().conjugate()
-    return 1.0 + (prod * PoleSum.single(lam)).line_integral()
+    return _determinant(_ModelSums(model), complex(lam))
 
 
-def _det_and_bracket(model: FriedrichsModel, lam: complex):
+def _det_and_bracket(model: FriedrichsModel, sums: _ModelSums, lam: complex):
     """(D, bracket) with M = 1 / bracket; bracket is None when |D| < 1e-12.
 
-    bracket = sign(Im lam) pi i + I_psi I_phi / D - B.
+    bracket = sign(Im lam) pi i + I_psi I_phi / D - B, with sums the model's
+    precomputed pole sums.
     """
-    det = perturbation_determinant(model, lam)
+    det = _determinant(sums, lam)
     if abs(det) < 1e-12:
         return det, None
-    i_psi, i_phi = transform_pair(model, lam)
+    i_psi, i_phi = _transforms(sums, lam)
     return det, np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - complex(model.bparam)
 
 
@@ -321,7 +353,7 @@ def m_value(model: FriedrichsModel, lam: complex) -> complex:
     when lam is a pole of M (m_scan records both as NaN rows instead).
     """
     lam = complex(lam)
-    det, bracket = _det_and_bracket(model, lam)
+    det, bracket = _det_and_bracket(model, _ModelSums(model), lam)
     if bracket is None:
         raise DZeroError(f"determinant vanishes at lam={lam}")
     if abs(bracket) < 1e-12:
@@ -556,13 +588,15 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
 def m_scan(model: FriedrichsModel, re_points, eps_values):
     """Rows (re, im, Re M, Im M, |D|, |bracket|) over a grid straddling the axis.
 
-    Pole points of M are recorded with NaN values rather than raised.
+    Pole points of M are recorded with NaN values rather than raised.  The
+    lam-independent pole sums are built once for the whole grid.
     """
+    sums = _ModelSums(model)
     rows = []
     for x0 in re_points:
         for eps in eps_values:
             for lam in (complex(x0, eps), complex(x0, -eps)):
-                det, bracket = _det_and_bracket(model, lam)
+                det, bracket = _det_and_bracket(model, sums, lam)
                 if bracket is None:
                     rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
                     continue

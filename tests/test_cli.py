@@ -162,13 +162,30 @@ def _drop(data, key):
     ("scan", lambda m: {"model": {"type": "friedrichs", "bparam": [0.0, 0.0],
                                   "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}}}),
+    # json reads NaN and Infinity literals, which would give NaN or inf rows
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
+                        "grid": {"re": [0.0, float("nan"), 3], "eps": [0.5]}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
+                        "grid": {"re": [0.0, 2.0, 3], "eps": [0.5], "rhs_decay": float("inf")}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1, float("inf")]}}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [-float("inf"), 6.0, 3], "eps": [0.1],
+                                             "fd_n": 64}}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, float("inf")], "eps": [0.1],
+                                             "fd_n": 64}}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "eps": [float("nan")],
+                                             "fd_n": 64}}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
         "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
         "grid-misspelt-fd-n", "friedrichs-grid-fd-n", "grid-not-object",
         "contour-misspelt-center", "example-misspelt-lam0", "firstorder-grid-misspelt-n",
         "firstorder-misspelt-b", "hainlust-poly-extra-key", "eig-hainlust-extra-key",
-        "friedrichs-pole-extra-key", "friedrichs-misspelt-b"])
+        "friedrichs-pole-extra-key", "friedrichs-misspelt-b", "firstorder-re-nan",
+        "firstorder-rhs-decay-inf", "friedrichs-eps-inf", "hainlust-re-minus-inf",
+        "hainlust-re-count-inf", "hainlust-eps-nan"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))

@@ -3,6 +3,7 @@ import pytest
 
 from weylscope.errors import BadMuError, UpperHalfPlaneError
 from weylscope.firstorder import (
+    _BLOCK,
     FOModel,
     HalfLineGrid,
     blowup_scan,
@@ -81,6 +82,32 @@ def test_resolvent_linearity(model):
     f1 = resolvent(model, lam, g)
     f2 = resolvent(model, lam, 2.0 * g)
     np.testing.assert_allclose(f2, 2.0 * f1, atol=1e-14)
+
+
+def _stepped_resolvent(model, lam, g):
+    """The trapezoid recursion stepped one complex scalar at a time."""
+    g = np.asarray(g, dtype=complex)
+    n = model.grid.n
+    h = model.grid.length / (n - 1)
+    prop = np.exp(-1j * lam * h)
+    half = -1j * h / 2.0
+    f = np.zeros(n, dtype=complex)
+    for j in range(n - 1):
+        f[j + 1] = prop * f[j] + half * (prop * g[j] + g[j + 1])
+    return f
+
+
+@pytest.mark.parametrize("n", [4096, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("lam", [-1j, 0.3 - 0.7j, 5.0 - 0.01j, -3.0 - 40j, 2.0 - 1e-9j])
+def test_resolvent_bit_identical_to_stepped_recursion(n, lam):
+    # near the axis (|prop| ~ 1) and deep in the lower half plane (prop ~ 0);
+    # the odd n spans two full blocks of local terms and a partial one
+    model = FOModel(bparam=1.0, grid=HalfLineGrid(length=40.0, n=n))
+    x = model.grid.nodes
+    rng = np.random.default_rng(n)
+    for g in (np.exp(-x), np.exp((-0.5 + 2j) * x),
+              rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        assert np.array_equal(resolvent(model, lam, g), _stepped_resolvent(model, lam, g))
 
 
 def test_resolvent_rejects_upper_half_plane(model):

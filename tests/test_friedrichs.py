@@ -11,6 +11,8 @@ from weylscope.friedrichs import (
     FriedrichsModel,
     PoleSum,
     RationalH2,
+    _det_and_bracket,
+    _ModelSums,
     adjoint_apply,
     boundary_values,
     cauchy_transform,
@@ -219,6 +221,69 @@ def test_m_scan_records_poles_as_nan():
     lower = [r for r in rows if r[1] < 0][0]
     assert np.isnan(upper[2]) and upper[5] == 0.0
     assert not np.isnan(lower[2])
+
+
+def _determinant_zero_model(rng, lam0):
+    """Seeded model with order-2 poles on both sides, phi scaled so that D(lam0) = 0."""
+
+    def poles():
+        return (complex(rng.uniform(-2, 2), -rng.uniform(0.5, 2)),
+                complex(rng.uniform(-2, 2), rng.uniform(0.5, 2)))
+
+    def residues():
+        return tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(2))
+
+    psi = RationalH2(poles=poles(), residues=residues(), orders=(1, 2))
+    phi0 = RationalH2(poles=poles(), residues=residues(), orders=(2, 1))
+    d0 = perturbation_determinant(FriedrichsModel(phi=phi0, psi=psi), lam0) - 1.0
+    scale = np.conj(-1.0 / d0)
+    phi = RationalH2(poles=phi0.poles, residues=tuple(scale * r for r in phi0.residues),
+                     orders=phi0.orders)
+    return FriedrichsModel(phi=phi, psi=psi, bparam=complex(*rng.uniform(-0.5, 0.5, 2)))
+
+
+def _pointwise_rows(model, re_points, eps_values):
+    """m_scan's rows from one _det_and_bracket call per point, sums rebuilt each time."""
+    rows = []
+    for x0 in re_points:
+        for eps in eps_values:
+            for lam in (complex(x0, eps), complex(x0, -eps)):
+                det, bracket = _det_and_bracket(model, _ModelSums(model), lam)
+                if bracket is None:
+                    rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
+                elif abs(bracket) < 1e-12:
+                    rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), abs(bracket)))
+                else:
+                    m = 1.0 / bracket
+                    rows.append((lam.real, lam.imag, m.real, m.imag, abs(det), abs(bracket)))
+    return rows
+
+
+def test_m_scan_matches_pointwise_evaluation(polesum_mul_calls):
+    # lam0 = -0.5i is a grid point: linspace(-1, 1, 5) holds 0.0 exactly
+    re_points, eps_values = np.linspace(-1.0, 1.0, 5), [0.5, 0.1, 1e-3]
+    model = _determinant_zero_model(np.random.default_rng(7), -0.5j)
+    expected = _pointwise_rows(model, re_points, eps_values)
+    del polesum_mul_calls[:]
+    rows = m_scan(model, re_points, eps_values)
+    assert repr(rows) == repr(expected)
+    pole_rows = [r for r in rows if np.isnan(r[2])]
+    assert len(pole_rows) == 1 and pole_rows[0][:2] == (0.0, -0.5)
+    # psi conj(phi) is formed once per scan; a point costs the determinant's
+    # product plus, off the zeros of D, one product per transform
+    assert len(polesum_mul_calls) == 1 + 3 * (len(rows) - 1) + 1
+
+
+def test_m_scan_raises_on_real_lambda():
+    with pytest.raises(RealLambdaError):
+        m_scan(hardy_model(), [0.0, 1.0], [0.1, 0.0])
+
+
+def test_m_scan_raises_on_psi_pole():
+    # the second point, -i, is the pole of psi; conj(phi) has its pole at 2i
+    model = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7 + 0.3j))
+    with pytest.raises(PoleCollisionError, match=r"collides with pole \(-0-1j\)"):
+        m_scan(model, [0.0], [1.0])
 
 
 def test_m_scan_non_hardy_jump_converges():
