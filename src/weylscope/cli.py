@@ -16,17 +16,12 @@ import io
 import json
 import math
 import sys
-from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from . import detect, firstorder, friedrichs, hainlust, triples
-from .errors import (
-    ConfigInvalidError,
-    ModelUnknownError,
-    SampleInSpectrumError,
-    WeylScopeError,
-)
+from .errors import ConfigInvalidError, SampleInSpectrumError, WeylScopeError
 # matrix_norm2 stays importable from cli: span tracers wrap it at this site
 from .numerics import ContourSpec, matrix_norm2, principal_angles  # noqa: F401
 
@@ -48,25 +43,150 @@ CHECK_TOLERANCES = {
 SAFE_POINT_MAX_DRAWS = 10_000
 
 
-@contextmanager
-def _decoding(what):
-    """Report a malformed model, grid, contour or triple as a config error."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigInvalidError(f"invalid {what}: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalidError(f"invalid {what}: {exc}") from exc
+# ------------------------------------------------------------ config schema
+#
+# A kind is one of
+#   - a function (value, where) -> value: FLOAT, NONZERO, POSITIVE, PATH,
+#     integer(k), ANY, and select(...) for an object whose tag picks its dict;
+#   - a tuple: a JSON list holding one value of each kind, in order;
+#   - a one-item list: a JSON list whose values all have that kind;
+#   - a dict: a JSON object, key -> (kind, default), where the default
+#     REQUIRED makes the key mandatory and None leaves an absent key out.
+# A key outside its dict is rejected at every depth.  JSON as read by Python
+# admits NaN and Infinity, which no number kind accepts.
+
+REQUIRED = object()
 
 
-def _known_keys(what, obj, allowed):
-    """Reject a config object that is not a JSON object or has a key outside allowed."""
-    if not isinstance(obj, dict):
-        raise ConfigInvalidError(f"'{what}' must be a JSON object")
-    unknown = sorted(obj.keys() - allowed)
+def _scalar(what, test):
+    def check(value, where):
+        if not test(value):
+            raise ConfigInvalidError(f"{where} must be {what}, got {value!r:.60}")
+        return value
+    return check
+
+
+def _finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+FLOAT = _scalar("a finite number", _finite)
+NONZERO = _scalar("a finite nonzero number", lambda v: _finite(v) and v != 0)
+POSITIVE = _scalar("a finite positive number", lambda v: _finite(v) and v > 0)
+PATH = _scalar("a path string", lambda v: isinstance(v, str))
+PAIR = (FLOAT, FLOAT)
+
+
+def integer(least):
+    """Exact JSON integers >= least: no bool, and no 1.5 truncated to 1."""
+    return _scalar(f"an integer >= {least}", lambda v: type(v) is int and v >= least)
+
+
+def ANY(value, where):
+    """A value its constructor checks, or a tag its select has matched."""
+    return value
+
+
+def select(tag, table, what):
+    """Kind of a JSON object whose dict kind its tag picks: table[tag(object)]."""
+    def check(value, where):
+        if not isinstance(value, dict):
+            raise ConfigInvalidError(f"{where} must be a JSON object")
+        key = tag(value)
+        if not isinstance(key, str) or key not in table:
+            raise ConfigInvalidError(f"unknown {what} {key!r:.60}")
+        return _decode(table[key], value, where)
+    return check
+
+
+def _decode(kind, value, where):
+    """value checked against kind, with the defaults of its objects filled in."""
+    if callable(kind):
+        return kind(value, where)
+    if isinstance(kind, (tuple, list)):
+        if not isinstance(value, list) or (isinstance(kind, tuple) and len(value) != len(kind)):
+            size = f" of {len(kind)} values" if isinstance(kind, tuple) else ""
+            raise ConfigInvalidError(f"{where} must be a list{size}")
+        kinds = kind if isinstance(kind, tuple) else kind * len(value)
+        return [_decode(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value))]
+    if not isinstance(value, dict):
+        raise ConfigInvalidError(f"{where} must be a JSON object")
+    unknown = sorted(value.keys() - kind.keys())
     if unknown:
-        raise ConfigInvalidError(f"unknown key(s) in {what}: {', '.join(unknown)}")
-    return obj
+        raise ConfigInvalidError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    out = {}
+    for key, (sub, default) in kind.items():
+        if key in value:
+            out[key] = _decode(sub, value[key], f"{where}.{key}")
+        elif default is REQUIRED:
+            raise ConfigInvalidError(f"{where} is missing '{key}'")
+        elif default is not None:
+            out[key] = _decode(sub, default, f"{where}.{key}")
+    return out
+
+
+def _model_type(config):
+    model = config.get("model")
+    if not isinstance(model, dict):
+        raise ConfigInvalidError("config.model must be a model object or its path")
+    return model.get("type") or model.get("schema")
+
+
+def _config(**keys):
+    """A command's config: the keys it reads, and the seed every command takes."""
+    return {"seed": (SEED, DEFAULT_SEED), **keys}
+
+
+def _scan(model, re, eps, eps_kind=FLOAT, **extra):
+    """A scan config: the model, and a grid of re = [lo, hi, count] and eps values."""
+    grid = {"re": ((FLOAT, FLOAT, integer(1)), re), "eps": ([eps_kind], eps), **extra}
+    return _config(model=(MODELS[model], REQUIRED), grid=(grid, {}))
+
+
+SEED = integer(0)
+TAG = (ANY, REQUIRED)
+POLY = {"breaks": ([FLOAT], REQUIRED), "coeffs": ([[PAIR]], REQUIRED)}
+RATIONAL = {"poles": ([PAIR], REQUIRED), "residues": ([PAIR], REQUIRED),
+            "orders": ([integer(1)], None)}
+# one per model type; triple_from_dict tests the triple-v1 matrices
+MODELS = {
+    "hainlust": {"type": TAG, "q": (POLY, REQUIRED), "u": (POLY, REQUIRED),
+                 "w": (POLY, REQUIRED), "alpha": (FLOAT, REQUIRED),
+                 "beta": (FLOAT, REQUIRED)},
+    "friedrichs": {"type": TAG, "phi": (RATIONAL, REQUIRED), "psi": (RATIONAL, REQUIRED),
+                   "B": (PAIR, None)},
+    "firstorder": {"type": TAG, "B": (PAIR, [1.0, 0.0]),
+                   "grid": ({"length": (FLOAT, 40.0), "n": (integer(1), 4096)}, {})},
+    "triple-v1": {"schema": TAG, **dict.fromkeys(("state_dim", "h", "k"), (integer(0), REQUIRED)),
+                  **dict.fromkeys(("action", "action_adj", "bnd1", "bnd2", "adj_bnd1",
+                                   "adj_bnd2"), (ANY, REQUIRED))},
+}
+# one per command; the friedrichs and firstorder resolvents need nonzero eps
+SCHEMAS = {
+    "check": _config(triple=(PATH, None)),
+    "scan": select(_model_type, {
+        "hainlust": _scan("hainlust", [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3],
+                          fd_n=(integer(hainlust.MIN_FD_N), 128)),
+        "friedrichs": _scan("friedrichs", [-3.0, 3.0, 25], [1e-1, 1e-2, 1e-3], NONZERO),
+        "firstorder": _scan("firstorder", [0.0, 2.0, 10], [0.5, 0.125, 0.03125], NONZERO,
+                            rhs_decay=(FLOAT, 1.0)),
+    }, "model type"),
+    "eig": select(_model_type, {
+        "hainlust": _config(model=(MODELS["hainlust"], REQUIRED),
+                            region=((FLOAT,) * 4, REQUIRED)),
+        "triple-v1": _config(model=(MODELS["triple-v1"], REQUIRED), bparam=([[PAIR]], None)),
+    }, "model type"),
+    "contour": _config(triple=(PATH, None), hidden=([[PAIR]], None),
+                       contour=({"center": (PAIR, [25.0, 0.0]), "radius": (FLOAT, 1.0),
+                                 "nodes": (integer(1), 64)}, {})),
+    "example": select(lambda config: config.get("example"), {
+        "ex1": _config(example=TAG, B=(PAIR, [0.0, 0.0])),
+        "ex2-lower": _config(example=TAG, lam0=(PAIR, [0.0, -1.0])),
+        "ex2-upper": _config(example=TAG, lam0=(PAIR, [0.0, 2.0])),
+        "ex3": _config(example=TAG, B=(FLOAT, 0.0)),
+    }, "example"),
+}
 
 
 def _load_json(path):
@@ -77,82 +197,58 @@ def _load_json(path):
         raise ConfigInvalidError(f"cannot read JSON file {path}: {exc}") from exc
 
 
-# keys a model object of each type may hold, and those of its nested objects
-_MODEL_KEYS = {
-    "hainlust": ({"type", "q", "u", "w", "alpha", "beta"},
-                 dict.fromkeys(("q", "u", "w"), {"breaks", "coeffs"})),
-    "friedrichs": ({"type", "phi", "psi", "B"},
-                   dict.fromkeys(("phi", "psi"), {"poles", "residues", "orders"})),
-    "firstorder": ({"type", "B", "grid"}, {"grid": {"length", "n"}}),
-}
+def _read_triple(path):
+    return triples.triple_from_dict(_decode(MODELS["triple-v1"], _load_json(path), path))
 
 
-def _resolve_model(config):
-    """The model object of a config, read from its file when given as a path.
-
-    A hainlust, friedrichs or firstorder model may hold only the keys its
-    decoder reads, at the top level and in its nested objects.
-    """
-    model = config.get("model")
-    if model is None:
-        raise ConfigInvalidError("config is missing 'model'")
-    if isinstance(model, str):
-        model = _load_json(model)
-    if not isinstance(model, dict):
-        raise ConfigInvalidError("'model' must be a path or an object")
-    keys = _MODEL_KEYS.get(model.get("type"))
-    if keys is not None:
-        top, nested = keys
-        _known_keys("model", model, top)
-        for name, allowed in nested.items():
-            if name in model:
-                _known_keys(f"model.{name}", model[name], allowed)
-    return model
+def _complex_matrix(rows):
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _fmt(value) -> str:
-    return f"{value:.17g}"
-
-
-def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(path, text):
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
+
+def _write_json(path, payload):
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _worst(residuals) -> float:
+    """Largest residual, NaN when any is NaN; 0.0 when there are none."""
+    return float(np.max(residuals)) if np.size(residuals) else 0.0
+
+
+# Each command takes the decoded config, the seed and the --tol value, and
+# builds its models; a ValueError, TypeError, KeyError or OverflowError
+# raised there is a config error.  It returns the function that computes the
+# report, writes it to a path (stdout when None) and returns the exit code.
 
 # ----------------------------------------------------------------- run: check
 
 
 def _check_entry(name, identity, residual, tols, expected_nonzero=False):
     tol = tols[name]
-    if expected_nonzero:
-        ok = residual > tol
-    else:
-        ok = residual <= tol
+    ok = residual > tol if expected_nonzero else residual <= tol
     return {
         "name": name,
         "identity": identity,
         "residual": float(residual),
         "tolerance": float(tol),
         "expected_nonzero": expected_nonzero,
-        "pass": bool(ok),
+        "pass": bool(ok and math.isfinite(residual)),
     }
 
 
 def _suite_for_triple(rng, tr, tols):
-    entries = []
     ext_b = triples.random_extension(rng, tr)
     ext_c = triples.random_extension(rng, tr)
 
-    worst = 0.0
-    for _ in range(100):
-        u = rng.standard_normal(tr.dom_dim) + 1j * rng.standard_normal(tr.dom_dim)
-        v = rng.standard_normal(tr.adj_dom_dim) + 1j * rng.standard_normal(tr.adj_dom_dim)
-        worst = max(worst, triples.green_residual(tr, u, v))
-    entries.append(_check_entry("green", "boundary pairing identity", worst, tols))
+    def vector(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     def safe_point():
         for _ in range(SAFE_POINT_MAX_DRAWS):
@@ -163,48 +259,40 @@ def _suite_for_triple(rng, tr, tols):
         raise SampleInSpectrumError(
             f"no test point clear of both spectra in {SAFE_POINT_MAX_DRAWS} draws")
 
-    worst = 0.0
-    for _ in range(50):
-        f = rng.standard_normal(tr.h) + 1j * rng.standard_normal(tr.h)
-        worst = max(worst, triples.hilbert_identity_residual(
-            ext_b, safe_point(), safe_point(), f))
-    entries.append(_check_entry("hilbert", "resolvent difference identity for "
-                                "solution operators", worst, tols))
+    def hilbert():
+        f = vector(tr.h)
+        return triples.hilbert_identity_residual(ext_b, safe_point(), safe_point(), f)
 
-    worst = 0.0
-    for _ in range(50):
-        worst = max(worst, triples.krein_residual(ext_b, ext_c, safe_point()))
-    entries.append(_check_entry("krein", "two-parameter resolvent formula", worst, tols))
-
-    worst = 0.0
-    for _ in range(20):
+    def m_gap():
         lam, lam0 = safe_point(), safe_point()
-        gap = np.abs(triples.m_function(ext_b, lam) -
-                     triples.m_via_resolvent(ext_b, lam, lam0))
-        worst = max(worst, float(np.max(gap)) if gap.size else 0.0)
-    entries.append(_check_entry("m-equality", "M-function versus resolvent route",
-                                worst, tols))
+        return np.abs(triples.m_function(ext_b, lam) -
+                      triples.m_via_resolvent(ext_b, lam, lam0))
+
+    entries = []
+
+    def entry(name, identity, residuals):
+        entries.append(_check_entry(name, identity, _worst(residuals), tols))
+
+    entry("green", "boundary pairing identity",
+          [triples.green_residual(tr, vector(tr.dom_dim), vector(tr.adj_dom_dim))
+           for _ in range(100)])
+    entry("hilbert", "resolvent difference identity for solution operators",
+          [hilbert() for _ in range(50)])
+    entry("krein", "two-parameter resolvent formula",
+          [triples.krein_residual(ext_b, ext_c, safe_point()) for _ in range(50)])
+    entry("m-equality", "M-function versus resolvent route", [m_gap() for _ in range(20)])
 
     spec = detect.saturated_sampling(ext_b)
     t_space = detect.build_solution_space(ext_b, spec)
     s_space = detect.build_resolvent_space(ext_b, spec)
-    ang = principal_angles(s_space.basis, t_space.basis)
-    worst = float(np.max(ang)) if ang.size else 0.0
-    entries.append(_check_entry("detection-angle", "solution span equals smoothed "
-                                "resolvent span", worst, tols))
-
+    entry("detection-angle", "solution span equals smoothed resolvent span",
+          principal_angles(s_space.basis, t_space.basis))
     shifted = dataclasses.replace(spec, anchor=spec.anchor + 2.3j)
-    ang = principal_angles(detect.build_resolvent_space(ext_b, shifted).basis,
-                           s_space.basis)
-    worst = float(np.max(ang)) if ang.size else 0.0
-    entries.append(_check_entry("anchor-independence", "smoothed span independent "
-                                "of its anchor", worst, tols))
-
-    worst = max(
-        detect.invariance_residual(s_space, ext_b, safe_point()) for _ in range(5)
-    )
-    entries.append(_check_entry("invariance", "resolvent invariance of the "
-                                "detection space", worst, tols))
+    entry("anchor-independence", "smoothed span independent of its anchor",
+          principal_angles(detect.build_resolvent_space(ext_b, shifted).basis,
+                           s_space.basis))
+    entry("invariance", "resolvent invariance of the detection space",
+          [detect.invariance_residual(s_space, ext_b, safe_point()) for _ in range(5)])
     return entries
 
 
@@ -226,269 +314,172 @@ def _hidden_block_entries(rng, tols):
     ]
 
 
-def run_check(config, out_path, seed, tol_override):
-    tols = dict(CHECK_TOLERANCES)
-    if tol_override is not None:
-        for name in tols.keys() - {"morera-full"}:
-            tols[name] = float(tol_override)
+def run_check(cfg, seed, tol):
+    tols = {name: value if tol is None or name == "morera-full" else tol
+            for name, value in CHECK_TOLERANCES.items()}
     rng = np.random.default_rng(seed)
-
-    if "triple" in config:
-        data = _load_json(config["triple"])
-        with _decoding("triple file"):
-            tr_list = [triples.triple_from_dict(data)]
+    if "triple" in cfg:
+        tr_list = [_read_triple(cfg["triple"])]
     else:
-        tr_list = [
-            triples.random_triple(rng, state_dim=6, h=2, k=2),
-            triples.random_triple(rng, state_dim=14, h=2, k=2),
-        ]
+        tr_list = [triples.random_triple(rng, state_dim=m, h=2, k=2) for m in (6, 14)]
 
-    checks = []
-    for tr in tr_list:
-        checks.extend(_suite_for_triple(rng, tr, tols))
-    checks.extend(_hidden_block_entries(rng, tols))
+    def report(out_path):
+        checks = []
+        for tr in tr_list:
+            checks.extend(_suite_for_triple(rng, tr, tols))
+        checks.extend(_hidden_block_entries(rng, tols))
+        passed = all(c["pass"] for c in checks)
+        _write_json(out_path, {"command": "check", "seed": seed, "checks": checks,
+                               "passed": passed})
+        return 0 if passed else 1
 
-    passed = all(c["pass"] for c in checks)
-    report = {"command": "check", "seed": seed, "checks": checks, "passed": passed}
-    _write_json(out_path, report)
-    return 0 if passed else 1
+    return report
 
 
 # ------------------------------------------------------------------ run: scan
 
-
-def _scan_grid(config, re_default, eps_default, extra_keys=()):
-    """The grid object of a scan config, its real-part points and its eps values.
-
-    The grid may hold re, eps and the model-specific extra_keys, nothing else;
-    the numbers in re and eps must be finite (JSON as read by Python admits
-    NaN and Infinity).
-    """
-    grid = _known_keys("grid", config.get("grid", {}), {"re", "eps", *extra_keys})
-    with _decoding("grid"):
-        re_lo, re_hi, re_n = grid.get("re", re_default)
-        eps_values = [float(e) for e in grid.get("eps", eps_default)]
-        if not all(math.isfinite(v) for v in (re_lo, re_hi, re_n, *eps_values)):
-            raise ValueError("re and eps must be finite")
-        re_points = np.linspace(re_lo, re_hi, int(re_n))
-    return grid, re_points, eps_values
-
-
-def _scan_hainlust(model_data, config):
-    with _decoding("hainlust model"):
-        model = hainlust.model_from_dict(model_data)
-    grid, re_points, eps_values = _scan_grid(config, [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3],
-                                             ("fd_n",))
-    with _decoding("grid"):
-        fd_n = int(grid.get("fd_n", 128))
-        if fd_n < hainlust.MIN_FD_N:
-            raise ValueError(f"fd_n must be at least {hainlust.MIN_FD_N}")
-    header = ["re_lambda", "im_lambda", "m11_re", "m11_im", "m12_re", "m12_im",
-              "m21_re", "m21_im", "m22_re", "m22_im", "denom_abs", "full_jump",
-              "bordered_jump"]
-    return header, hainlust.scan_rows(model, re_points, eps_values, fd_n)
-
-
-def _scan_friedrichs(model_data, config):
-    with _decoding("friedrichs model"):
-        model = friedrichs.model_from_dict(model_data)
-    _, re_points, eps_values = _scan_grid(config, [-3.0, 3.0, 25], [1e-1, 1e-2, 1e-3])
-    rows = friedrichs.m_scan(model, re_points, eps_values)
-    header = ["re_lambda", "im_lambda", "re_M", "im_M", "abs_D", "bracket_abs"]
-    return header, rows
-
-
-def _scan_firstorder(model_data, config):
-    with _decoding("firstorder model"):
-        b = model_data.get("B", [1.0, 0.0])
-        grid_cfg = model_data.get("grid", {})
+def run_scan(cfg, seed, tol):
+    data, grid = cfg["model"], cfg["grid"]
+    re_points = np.linspace(*grid["re"])
+    eps_values = [float(e) for e in grid["eps"]]
+    if data["type"] == "hainlust":
+        header = ["re_lambda", "im_lambda", "m11_re", "m11_im", "m12_re", "m12_im",
+                  "m21_re", "m21_im", "m22_re", "m22_im", "denom_abs", "full_jump",
+                  "bordered_jump"]
+        rows = partial(hainlust.scan_rows, hainlust.model_from_dict(data), re_points,
+                       eps_values, grid["fd_n"])
+    elif data["type"] == "friedrichs":
+        header = ["re_lambda", "im_lambda", "re_M", "im_M", "abs_D", "bracket_abs"]
+        rows = partial(friedrichs.m_scan, friedrichs.model_from_dict(data), re_points,
+                       eps_values)
+    else:
         model = firstorder.FOModel(
-            bparam=complex(b[0], b[1]),
-            grid=firstorder.HalfLineGrid(
-                length=float(grid_cfg.get("length", 40.0)),
-                n=int(grid_cfg.get("n", 4096)),
-            ),
+            bparam=complex(*data["B"]),
+            grid=firstorder.HalfLineGrid(length=float(data["grid"]["length"]),
+                                         n=data["grid"]["n"]),
         )
-    grid, re_points, eps_values = _scan_grid(config, [0.0, 2.0, 10],
-                                             [0.5, 0.125, 0.03125], ("rhs_decay",))
-    with _decoding("grid"):
-        decay = float(grid.get("rhs_decay", 1.0))
-        if not math.isfinite(decay):
-            raise ValueError("rhs_decay must be finite")
-    g = np.exp(-decay * model.grid.nodes)
-    lams = [complex(x0, -abs(e)) for x0 in re_points for e in eps_values]
-    header = ["re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im"]
-    return header, firstorder.scan_rows(model, lams, g)
+        g = np.exp(-float(grid["rhs_decay"]) * model.grid.nodes)
+        lams = [complex(x0, -abs(e)) for x0 in re_points for e in eps_values]
+        header = ["re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im"]
+        rows = partial(firstorder.scan_rows, model, lams, g)
 
+    def report(out_path):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows():
+            writer.writerow([f"{float(v):.17g}" for v in row])
+        _write(out_path, buf.getvalue())
+        return 0
 
-def run_scan(config, out_path, seed, tol_override):
-    model_data = _resolve_model(config)
-    kind = model_data.get("type")
-    if kind == "hainlust":
-        header, rows = _scan_hainlust(model_data, config)
-    elif kind == "friedrichs":
-        header, rows = _scan_friedrichs(model_data, config)
-    elif kind == "firstorder":
-        header, rows = _scan_firstorder(model_data, config)
-    else:
-        raise ModelUnknownError(f"unknown model type {kind!r}")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(float(v)) for v in row])
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return report
 
 
 # ------------------------------------------------------------------- run: eig
 
 
-def run_eig(config, out_path, seed, tol_override):
-    model_data = _resolve_model(config)
-    kind = model_data.get("type") or model_data.get("schema")
-    if kind == "hainlust":
-        with _decoding("hainlust model"):
-            model = hainlust.model_from_dict(model_data)
-        region = config.get("region")
-        if not region or len(region) != 4:
-            raise ConfigInvalidError("eig needs 'region': [re_lo, re_hi, im_lo, im_hi]")
-        with _decoding("region"):
-            region = [float(v) for v in region]
-        vals = hainlust.eigenvalues_in(model, *region)
-    elif kind == "triple-v1":
-        with _decoding("triple file"):
-            tr = triples.triple_from_dict(model_data)
-        rng = np.random.default_rng(seed)
-        bp = config.get("bparam")
-        if bp is not None:
-            with _decoding("bparam"):
-                ext = triples.Extension(
-                    tr, np.array([[complex(re, im) for re, im in row] for row in bp]))
-        else:
-            ext = triples.random_extension(rng, tr)
-        vals = sorted(triples.extension_eigenvalues(ext), key=lambda z: (z.real, z.imag))
+def run_eig(cfg, seed, tol):
+    data = cfg["model"]
+    if data.get("type") == "hainlust":
+        eigenvalues = partial(hainlust.eigenvalues_in, hainlust.model_from_dict(data),
+                              *(float(v) for v in cfg["region"]))
     else:
-        raise ModelUnknownError(f"eigenvalues unsupported for model type {kind!r}")
-    payload = {
-        "command": "eig",
-        "eigenvalues": [[float(v.real), float(v.imag)] for v in vals],
-    }
-    _write_json(out_path, payload)
-    return 0
+        tr = triples.triple_from_dict(data)
+        if "bparam" in cfg:
+            ext = triples.Extension(tr, _complex_matrix(cfg["bparam"]))
+        else:
+            ext = triples.random_extension(np.random.default_rng(seed), tr)
+
+        def eigenvalues():
+            return sorted(triples.extension_eigenvalues(ext), key=lambda z: (z.real, z.imag))
+
+    def report(out_path):
+        vals = eigenvalues()
+        _write_json(out_path, {"command": "eig",
+                               "eigenvalues": [[float(v.real), float(v.imag)] for v in vals]})
+        return 0
+
+    return report
 
 
 # --------------------------------------------------------------- run: contour
 
 
-def run_contour(config, out_path, seed, tol_override):
+def run_contour(cfg, seed, tol):
     rng = np.random.default_rng(seed)
-    if "triple" in config:
-        data = _load_json(config["triple"])
-        with _decoding("triple file"):
-            tr = triples.triple_from_dict(data)
-    else:
-        tr = triples.random_triple(rng, state_dim=4, h=1, k=1)
-    hidden = config.get("hidden")
+    tr = (_read_triple(cfg["triple"]) if "triple" in cfg
+          else triples.random_triple(rng, state_dim=4, h=1, k=1))
     base_ext = triples.random_extension(rng, tr)
-    if hidden is not None:
-        with _decoding("hidden block"):
-            tr = triples.direct_sum_hidden(
-                tr, np.array([[complex(*v) for v in row] for row in hidden])
-            )
+    if "hidden" in cfg:
+        tr = triples.direct_sum_hidden(tr, _complex_matrix(cfg["hidden"]))
     ext = triples.Extension(tr, base_ext.bparam)
-    cfg = _known_keys("contour", config.get("contour", {}), {"center", "radius", "nodes"})
-    with _decoding("contour"):
-        contour = ContourSpec(
-            center=complex(*cfg.get("center", [25.0, 0.0])),
-            radius=float(cfg.get("radius", 1.0)),
-            nodes=int(cfg.get("nodes", 64)),
-        )
-    spec = detect.saturated_sampling(ext)
-    s_space = detect.build_resolvent_space(ext, spec)
-    s_adj, _ = detect.build_adjoint_spaces(ext, spec)
-    record = detect.detection_report(ext, contour, s_adj, s_space,
-                                     triple_id=config.get("triple", "seeded"))
-    record["command"] = "contour"
-    _write_json(out_path, record)
-    return 0
+    circle = cfg["contour"]
+    contour = ContourSpec(center=complex(*circle["center"]), radius=float(circle["radius"]),
+                          nodes=circle["nodes"])
+
+    def report(out_path):
+        spec = detect.saturated_sampling(ext)
+        s_space = detect.build_resolvent_space(ext, spec)
+        s_adj, _ = detect.build_adjoint_spaces(ext, spec)
+        record = detect.detection_report(ext, contour, s_adj, s_space,
+                                         triple_id=cfg.get("triple", "seeded"))
+        record["command"] = "contour"
+        _write_json(out_path, record)
+        return 0
+
+    return report
 
 
 # --------------------------------------------------------------- run: example
 
 
-def run_example(config, out_path, seed, tol_override):
-    name = config.get("example")
+def _ex1(bparam, seed):
+    model = friedrichs.FriedrichsModel(
+        phi=friedrichs.RationalH2(poles=(-1j,), residues=(1.0,)),
+        psi=friedrichs.RationalH2(poles=(-2j,), residues=(1.0,)),
+        bparam=bparam,
+    )
+    rng = np.random.default_rng(seed)
+    filled = None
+    if abs(bparam - 1j * np.pi) < 1e-12:
+        filled = "upper"
+    elif abs(bparam + 1j * np.pi) < 1e-12:
+        filled = "lower"
+    gaps = []
+    for _ in range(100):
+        lam = complex(rng.uniform(-5, 5), rng.uniform(0.05, 4) * rng.choice([-1, 1]))
+        if (filled == "upper" and lam.imag > 0) or (filled == "lower" and lam.imag < 0):
+            continue
+        gaps.append(abs(friedrichs.m_value(model, lam)
+                        - friedrichs.hardy_m_reference(bparam, lam)))
+    return {"max_closed_form_deviation": _worst(gaps), "points_checked": len(gaps),
+            "eigenvalue_filled_half_plane": filled}
+
+
+def run_example(cfg, seed, tol):
+    name = cfg["example"]
     if name == "ex1":
-        b = config.get("B", [0.0, 0.0])
-        with _decoding("example"):
-            bparam = complex(b[0], b[1])
-        model = friedrichs.FriedrichsModel(
-            phi=friedrichs.RationalH2(poles=(-1j,), residues=(1.0,)),
-            psi=friedrichs.RationalH2(poles=(-2j,), residues=(1.0,)),
-            bparam=bparam,
-        )
-        rng = np.random.default_rng(seed)
-        filled = None
-        if abs(bparam - 1j * np.pi) < 1e-12:
-            filled = "upper"
-        elif abs(bparam + 1j * np.pi) < 1e-12:
-            filled = "lower"
-        worst = 0.0
-        checked = 0
-        for _ in range(100):
-            lam = complex(rng.uniform(-5, 5), rng.uniform(0.05, 4) * rng.choice([-1, 1]))
-            if filled == "upper" and lam.imag > 0:
-                continue
-            if filled == "lower" and lam.imag < 0:
-                continue
-            gap = abs(friedrichs.m_value(model, lam)
-                      - friedrichs.hardy_m_reference(bparam, lam))
-            worst = max(worst, gap)
-            checked += 1
-        payload = {
-            "command": "example", "example": "ex1",
-            "max_closed_form_deviation": worst, "points_checked": checked,
-            "eigenvalue_filled_half_plane": filled,
-        }
-    elif name in ("ex2-lower", "ex2-upper"):
-        lam0 = config.get("lam0")
-        if lam0 is None:
-            lam0 = [0.0, -1.0] if name == "ex2-lower" else [0.0, 2.0]
-        with _decoding("example"):
-            lam0 = complex(*lam0)
+        payload = partial(_ex1, complex(*cfg["B"]), seed)
+    elif name == "ex3":
+        payload = partial(friedrichs.example_embedded_eigenvalue, bparam=float(cfg["B"]))
+    else:
+        lam0 = complex(*cfg["lam0"])
         if abs(lam0.imag) <= friedrichs._REAL_AXIS_TOL:
             raise ConfigInvalidError(f"invalid example: lam0 must be nonreal, got {lam0}")
-        payload = friedrichs.example_eigenvalue_not_pole(lam0=lam0)
-        payload.update({"command": "example", "example": name})
-    elif name == "ex3":
-        with _decoding("example"):
-            bparam = float(config.get("B", 0.0))
-        payload = friedrichs.example_embedded_eigenvalue(bparam=bparam)
-        payload.update({"command": "example", "example": "ex3"})
-    else:
-        raise ConfigInvalidError(f"unknown example {name!r}")
-    _write_json(out_path, payload)
-    return 0
+        payload = partial(friedrichs.example_eigenvalue_not_pole, lam0=lam0)
+
+    def report(out_path):
+        _write_json(out_path, {**payload(), "command": "example", "example": name})
+        return 0
+
+    return report
 
 
 # ----------------------------------------------------------------------- main
 
 
-# each command's runner and the top-level config keys it reads
-_COMMANDS = {
-    "check": (run_check, {"seed", "triple"}),
-    "scan": (run_scan, {"seed", "model", "grid"}),
-    "eig": (run_eig, {"seed", "model", "region", "bparam"}),
-    "contour": (run_contour, {"seed", "triple", "hidden", "contour"}),
-    "example": (run_example, {"seed", "example", "B", "lam0"}),
-}
+COMMANDS = {"check": run_check, "scan": run_scan, "eig": run_eig, "contour": run_contour,
+            "example": run_example}
 
 
 def main(argv=None) -> int:
@@ -496,7 +487,7 @@ def main(argv=None) -> int:
         prog="weyl-scope",
         description="Residual checks and scans for boundary-pair spectral models",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=False, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
     parser.add_argument("--seed", type=int, default=None)
@@ -505,14 +496,17 @@ def main(argv=None) -> int:
 
     try:
         config = _load_json(args.config) if args.config else {}
-        run, keys = _COMMANDS[args.command]
-        _known_keys("config", config, keys)
-        with _decoding("seed"):
-            seed = args.seed if args.seed is not None else int(config.get("seed", DEFAULT_SEED))
-        if args.command == "example" and "example" not in config:
-            raise ConfigInvalidError("example command needs 'example' in the config")
-        return run(config, args.out, seed, args.tol)
-    except (ConfigInvalidError, ModelUnknownError) as exc:
+        if isinstance(config, dict) and isinstance(config.get("model"), str):
+            config["model"] = _load_json(config["model"])
+        try:
+            cfg = _decode(SCHEMAS[args.command], config, "config")
+            seed = cfg["seed"] if args.seed is None else SEED(args.seed, "--seed")
+            tol = None if args.tol is None else POSITIVE(args.tol, "--tol")
+            report = COMMANDS[args.command](cfg, seed, tol)
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigInvalidError(f"invalid config: {exc}") from exc
+        return report(args.out)
+    except ConfigInvalidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeylScopeError as exc:

@@ -85,9 +85,5 @@ class ConstructionFailedError(WeylScopeError):
     """A model construction could not satisfy its normalization."""
 
 
-class ModelUnknownError(WeylScopeError):
-    """Model file names a type this package does not provide."""
-
-
 class ConfigInvalidError(WeylScopeError):
     """Configuration or model file is malformed."""

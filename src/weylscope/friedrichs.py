@@ -323,11 +323,6 @@ def _determinant(sums: _ModelSums, lam: complex) -> complex:
     return 1.0 + _cauchy(sums.psi_conj_phi, lam)
 
 
-def transform_pair(model: FriedrichsModel, lam: complex):
-    """(I_psi, I_phi): integral of psi/(x-lam) and of conj(phi)/(x-lam)."""
-    return _transforms(_ModelSums(model), complex(lam))
-
-
 def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
     """D(lam) = 1 + integral of psi(x) conj(phi(x)) / (x - lam) dx."""
     return _determinant(_ModelSums(model), complex(lam))

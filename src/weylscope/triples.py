@@ -246,6 +246,8 @@ def triple_from_dict(data: dict) -> FiniteTriple:
         for i, row in enumerate(raw):
             for j, (re, im) in enumerate(row):
                 out[i, j] = complex(re, im)
+        if not np.isfinite(out).all():
+            raise ValueError(f"field {key} has a non-finite entry")
         return out
 
     tr = FiniteTriple(

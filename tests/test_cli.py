@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
+import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylscope import cli
+from weylscope import cli, triples
 from weylscope.cli import main
 from weylscope.triples import random_triple, triple_to_dict
+
+NAN, INF = float("nan"), float("inf")
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_json(path, payload):
@@ -177,6 +187,30 @@ def _drop(data, key):
                                              "fd_n": 64}}),
     ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "eps": [float("nan")],
                                              "fd_n": 64}}),
+    # NaN passed the old checks: a NaN residual, NaN rows or a LinAlgError
+    ("example", lambda m: {"example": "ex1", "B": [NAN, 0.0]}),
+    ("example", lambda m: {"example": "ex3", "B": NAN}),
+    ("example", lambda m: {"example": "ex2-lower", "lam0": [0.0, NAN]}),
+    ("contour", lambda m: {"hidden": [[[NAN, 0.0]]]}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[NAN, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1]}}),
+    # counts and the seed are exact integers: 1.5 was truncated, -1 raised
+    ("check", lambda m: {"seed": -1}),
+    ("check", lambda m: {"seed": 1.5}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 2.7], "eps": [0.1], "fd_n": 64}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 16.5}},
+                        "grid": {"re": [0.0, 1.0, 2], "eps": [0.5]}}),
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 0], "eps": [0.1], "fd_n": 64}}),
+    # lambda = x - i eps must be nonreal for these resolvents
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
+                        "grid": {"re": [0.0, 1.0, 2], "eps": [0.0]}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": [0.0]}}),
+    ("check", lambda m: {"triple": ["triple.json"]}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
         "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
@@ -185,13 +219,132 @@ def _drop(data, key):
         "firstorder-misspelt-b", "hainlust-poly-extra-key", "eig-hainlust-extra-key",
         "friedrichs-pole-extra-key", "friedrichs-misspelt-b", "firstorder-re-nan",
         "firstorder-rhs-decay-inf", "friedrichs-eps-inf", "hainlust-re-minus-inf",
-        "hainlust-re-count-inf", "hainlust-eps-nan"])
+        "hainlust-re-count-inf", "hainlust-eps-nan", "ex1-b-nan", "ex3-b-nan",
+        "ex2-lam0-nan", "contour-hidden-nan", "friedrichs-residue-nan", "seed-negative",
+        "seed-fraction", "re-count-fraction", "firstorder-n-fraction", "re-count-zero",
+        "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, key", [
+    ("check", "action_adj"), ("check", "action"), ("eig", "action"), ("contour", "action"),
+])
+def test_nonfinite_triple_file_exits_2(tmp_path, capsys, command, key):
+    # a NaN made the pairing test false (check passed) or raised LinAlgError
+    data = triple_to_dict(random_triple(np.random.default_rng(4), state_dim=4, h=1, k=1))
+    data[key][0][0][0] = NAN
+    tf = tmp_path / "triple.json"
+    write_json(tf, data)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model" if command == "eig" else "triple": str(tf)})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "inf"], ["--tol", "nan"],
+                                   ["--tol", "-1"], ["--tol", "0"]],
+                         ids=["seed-negative", "tol-inf", "tol-nan", "tol-negative", "tol-zero"])
+def test_invalid_flag_exits_2(tmp_path, capsys, flags):
+    # --tol inf passed every replaceable check; --seed -1 raised from default_rng
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"seed": 3})
+    out = tmp_path / "r.json"
+    assert main(["check", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_check_nan_residual_fails(tmp_path, monkeypatch):
+    # max(0.0, nan) is 0.0: the old worst case dropped a NaN residual
+    real, calls = triples.green_residual, []
+
+    def nan_once(*args):
+        calls.append(None)
+        return NAN if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(triples, "green_residual", nan_once)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"seed": 3})
+    out = tmp_path / "r.json"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["green"] and math.isnan(report["checks"][0]["residual"])
+    # an infinite residual fails an expected-nonzero entry too
+    assert not cli._check_entry("morera-full", "", INF, cli.CHECK_TOLERANCES,
+                                expected_nonzero=True)["pass"]
+
+
+# keys without a default, wherever they occur in a shipped config
+REQUIRED_KEYS = {"model", "type", "q", "u", "w", "alpha", "beta", "phi", "psi", "poles",
+                 "residues", "breaks", "coeffs", "region", "example"}
+OTHER_TYPE = [None, True, "no-such-file.json", 2.5, [], {}]
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _nodes(sub, path + (key,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replace(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def violations(draw):
+    """A shipped config's command and the config with one schema violation."""
+    path = draw(st.sampled_from(sorted(CONFIGS.glob("*.json"))))
+    config = json.loads(path.read_text())
+    nodes = list(_nodes(config))
+    numbers = [(p, v) for p, v in nodes if _json_type(v) == "number"]
+    ints = [(p, v) for p, v in numbers if type(v) is int]  # counts and seeds
+    mutations = {
+        "unknown key": [(p, {**v, "unknown_key": 1}) for p, v in nodes if isinstance(v, dict)],
+        "non-finite": [(p, x) for p, _ in numbers for x in (NAN, INF, -INF)],
+        "fractional count": [(p, v + 0.5) for p, v in ints],
+        "negative count": [(p, -v - 1) for p, v in ints],
+        "wrong type": [(p, x) for p, v in nodes for x in OTHER_TYPE
+                       if _json_type(x) != _json_type(v)],
+        "dropped key": [(p, {k: x for k, x in v.items() if k != key})
+                        for p, v in nodes if isinstance(v, dict) for key in v
+                        if key in REQUIRED_KEYS],
+    }
+    kind = draw(st.sampled_from([k for k, cases in mutations.items() if cases]))
+    where, new = draw(st.sampled_from(mutations[kind]))
+    return path.stem.split("-")[0], _replace(config, where, new)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=violations())
+def test_schema_violations_exit_2(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", f"{tmp}/out"])
+        assert code == 2, config
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_eig_hainlust_region(tmp_path):
