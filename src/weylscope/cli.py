@@ -47,7 +47,7 @@ SAFE_POINT_MAX_DRAWS = 10_000
 #
 # A kind is one of
 #   - a function (value, where) -> value: FLOAT, NONZERO, POSITIVE, PATH,
-#     integer(k), ANY, and select(...) for an object whose tag picks its dict;
+#     integer(k), nonempty(kind), ANY, and select(...) for an object whose tag picks its dict;
 #   - a tuple: a JSON list holding one value of each kind, in order;
 #   - a one-item list: a JSON list whose values all have that kind;
 #   - a dict: a JSON object, key -> (kind, default), where the default
@@ -81,6 +81,12 @@ PAIR = (FLOAT, FLOAT)
 def integer(least):
     """Exact JSON integers >= least: no bool, and no 1.5 truncated to 1."""
     return _scalar(f"an integer >= {least}", lambda v: type(v) is int and v >= least)
+
+
+def nonempty(kind):
+    """A JSON list of one or more values of kind (an empty grid has no rows)."""
+    not_empty = _scalar("a non-empty list", lambda v: v != [])
+    return lambda value, where: _decode([kind], not_empty(value, where), where)
 
 
 def ANY(value, where):
@@ -140,7 +146,7 @@ def _config(**keys):
 
 def _scan(model, re, eps, eps_kind=FLOAT, **extra):
     """A scan config: the model, and a grid of re = [lo, hi, count] and eps values."""
-    grid = {"re": ((FLOAT, FLOAT, integer(1)), re), "eps": ([eps_kind], eps), **extra}
+    grid = {"re": ((FLOAT, FLOAT, integer(1)), re), "eps": (nonempty(eps_kind), eps), **extra}
     return _config(model=(MODELS[model], REQUIRED), grid=(grid, {}))
 
 
@@ -296,16 +302,20 @@ def _suite_for_triple(rng, tr, tols):
     return entries
 
 
+def _detection_record(ext, contour, triple_id="triple"):
+    """detection_report of the adjoint-side and primary resolvent spaces of one sampling."""
+    spec = detect.saturated_sampling(ext)
+    s_space = detect.build_resolvent_space(ext, spec)
+    s_adj, _ = detect.build_adjoint_spaces(ext, spec)
+    return detect.detection_report(ext, contour, s_adj, s_space, triple_id=triple_id)
+
+
 def _hidden_block_entries(rng, tols):
     tr = triples.random_triple(rng, state_dim=4, h=1, k=1)
     base = triples.random_extension(rng, tr)
     widened = triples.direct_sum_hidden(tr, np.array([[25.0 + 0.0j]]))
-    ext = triples.Extension(widened, base.bparam)
-    spec = detect.saturated_sampling(ext)
-    s_space = detect.build_resolvent_space(ext, spec)
-    s_adj, _ = detect.build_adjoint_spaces(ext, spec)
-    record = detect.detection_report(ext, ContourSpec(center=25.0, radius=1.0, nodes=64),
-                                     s_adj, s_space)
+    record = _detection_record(triples.Extension(widened, base.bparam),
+                               ContourSpec(center=25.0, radius=1.0, nodes=64))
     return [
         _check_entry("morera-bordered", "bordered resolvent analytic across the "
                      "hidden spectrum", record["residual_bordered"], tols),
@@ -418,11 +428,7 @@ def run_contour(cfg, seed, tol):
                           nodes=circle["nodes"])
 
     def report(out_path):
-        spec = detect.saturated_sampling(ext)
-        s_space = detect.build_resolvent_space(ext, spec)
-        s_adj, _ = detect.build_adjoint_spaces(ext, spec)
-        record = detect.detection_report(ext, contour, s_adj, s_space,
-                                         triple_id=cfg.get("triple", "seeded"))
+        record = _detection_record(ext, contour, cfg.get("triple", "seeded"))
         record["command"] = "contour"
         _write_json(out_path, record)
         return 0

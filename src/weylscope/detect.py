@@ -114,13 +114,17 @@ def default_sampling(ext: Extension, count: int = 24) -> SpaceSamplingSpec:
     return SpaceSamplingSpec(anchor=anchor, resolvent_samples=pts, solution_samples=pts)
 
 
+def _solution_columns(ext: Extension, points) -> np.ndarray:
+    """State values of the solution-operator ranges at the points, side by side."""
+    blocks = [ext.triple.values(solution_basis(ext, mu)) for mu in points]
+    return np.hstack(blocks) if blocks else np.zeros((ext.triple.state_dim, 0), dtype=complex)
+
+
 def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
     """Orthonormal basis of the span of solution-operator ranges over the samples."""
     _check_samples(ext, spec.solution_samples, "solution sample")
     _check_samples(ext, (spec.anchor,), "anchor")
-    tr = ext.triple
-    blocks = [tr.values(solution_basis(ext, mu)) for mu in spec.solution_samples]
-    cols = np.hstack(blocks) if blocks else np.zeros((tr.state_dim, 0), dtype=complex)
+    cols = _solution_columns(ext, spec.solution_samples)
     return SubspaceBasis(basis=orthonormal_basis(cols), side="solution")
 
 
@@ -166,15 +170,14 @@ def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
     moved for SATURATION_STABLE_RUNS consecutive additions, or at
     SATURATION_MAX_POINTS points.
     """
-    tr = ext.triple
     anchor, stream = _sample_stream(ext)
     pts = list(itertools.islice(stream, SATURATION_START))
-    cols = np.hstack([tr.values(solution_basis(ext, mu)) for mu in pts])
+    cols = _solution_columns(ext, pts)
     rank = orthonormal_basis(cols).shape[1]
     stable = 0
     while stable < SATURATION_STABLE_RUNS and len(pts) < SATURATION_MAX_POINTS:
         pts.append(next(stream))
-        cols = np.hstack([cols, tr.values(solution_basis(ext, pts[-1]))])
+        cols = np.hstack([cols, _solution_columns(ext, pts[-1:])])
         new_rank = orthonormal_basis(cols).shape[1]
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank

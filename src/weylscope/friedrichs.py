@@ -35,6 +35,7 @@ from .numerics import ContourSpec, contour_integral
 
 _MERGE_TOL = 1e-13
 _REAL_AXIS_TOL = 1e-12
+GRID_HALF_WIDTH = 50.0
 
 
 # ------------------------------------------------------------ pole-form sums
@@ -224,6 +225,13 @@ class FriedrichsModel:
     psi: RationalH2
     bparam: complex = 0.0
 
+    @cached_property
+    def _sums(self):
+        """(psi, conj(phi), psi conj(phi), their poles), built once: the fields are frozen."""
+        psi = self.psi.as_polesum()
+        conj_phi = self.phi.as_polesum().conjugate()
+        return psi, conj_phi, psi * conj_phi, psi.poles() + conj_phi.poles()
+
 
 def model_to_dict(model: FriedrichsModel) -> dict:
     def enc(f: RationalH2):
@@ -257,9 +265,9 @@ def model_from_dict(data: dict) -> FriedrichsModel:
 # ------------------------------------------------------------- evaluation grid
 
 
-def evaluation_grid(n: int = 2001, half_width: float = 50.0):
-    """Chebyshev-mapped nodes on [-half_width, half_width] with trapezoid weights."""
-    nodes = half_width * np.cos(np.pi * np.arange(n) / (n - 1))[::-1]
+def evaluation_grid(n: int = 2001):
+    """Chebyshev-mapped nodes on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], trapezoid weights."""
+    nodes = GRID_HALF_WIDTH * np.cos(np.pi * np.arange(n) / (n - 1))[::-1]
     weights = np.zeros(n)
     weights[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
     weights[0] = 0.5 * (nodes[1] - nodes[0])
@@ -278,24 +286,6 @@ def _check_lambda(lam: complex, f_conj_poles=()):
             raise PoleCollisionError(f"lambda={lam} collides with pole {p}")
 
 
-class _ModelSums:
-    """The pole sums of a model that do not depend on lam.
-
-    Built once per model, then shared by every lam of a scan: psi, conj(phi),
-    their poles and (on first use) the product psi conj(phi).
-    """
-
-    def __init__(self, model: FriedrichsModel):
-        self.psi = model.psi.as_polesum()
-        self.conj_phi = model.phi.as_polesum().conjugate()
-        self.psi_poles = self.psi.poles()
-        self.conj_phi_poles = self.conj_phi.poles()
-
-    @cached_property
-    def psi_conj_phi(self) -> PoleSum:
-        return self.psi * self.conj_phi
-
-
 def _cauchy(ps: PoleSum, lam: complex) -> complex:
     """Integral of ps(x) / (x - lam) over the line, by residues (no lam check)."""
     return (ps * PoleSum.single(lam)).line_integral()
@@ -309,35 +299,28 @@ def cauchy_transform(f: RationalH2, lam: complex) -> complex:
     return _cauchy(conj_f, lam)
 
 
-def _transforms(sums: _ModelSums, lam: complex):
-    """(I_psi, I_phi) from precomputed sums; checks lam against both pole sets."""
-    _check_lambda(lam, sums.psi_poles)
-    _check_lambda(lam, sums.conj_phi_poles)
-    i_phi = _cauchy(sums.conj_phi, lam)
-    return _cauchy(sums.psi, lam), i_phi
-
-
-def _determinant(sums: _ModelSums, lam: complex) -> complex:
-    """D(lam) from precomputed sums; checks only that lam is nonreal."""
+def _determinant(model: FriedrichsModel, lam: complex) -> complex:
+    """D(lam) from the model's pole sums; checks only that lam is nonreal."""
     _check_lambda(lam)
-    return 1.0 + _cauchy(sums.psi_conj_phi, lam)
+    return 1.0 + _cauchy(model._sums[2], lam)
 
 
 def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
     """D(lam) = 1 + integral of psi(x) conj(phi(x)) / (x - lam) dx."""
-    return _determinant(_ModelSums(model), complex(lam))
+    return _determinant(model, complex(lam))
 
 
-def _det_and_bracket(model: FriedrichsModel, sums: _ModelSums, lam: complex):
+def _det_and_bracket(model: FriedrichsModel, lam: complex):
     """(D, bracket) with M = 1 / bracket; bracket is None when |D| < 1e-12.
 
-    bracket = sign(Im lam) pi i + I_psi I_phi / D - B, with sums the model's
-    precomputed pole sums.
+    bracket = sign(Im lam) pi i + I_psi I_phi / D - B; the pole checks follow the test on D.
     """
-    det = _determinant(sums, lam)
+    det = _determinant(model, lam)
     if abs(det) < 1e-12:
         return det, None
-    i_psi, i_phi = _transforms(sums, lam)
+    psi, conj_phi, _, poles = model._sums
+    _check_lambda(lam, poles)
+    i_psi, i_phi = _cauchy(psi, lam), _cauchy(conj_phi, lam)
     return det, np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - complex(model.bparam)
 
 
@@ -348,7 +331,7 @@ def m_value(model: FriedrichsModel, lam: complex) -> complex:
     when lam is a pole of M (m_scan records both as NaN rows instead).
     """
     lam = complex(lam)
-    det, bracket = _det_and_bracket(model, _ModelSums(model), lam)
+    det, bracket = _det_and_bracket(model, lam)
     if bracket is None:
         raise DZeroError(f"determinant vanishes at lam={lam}")
     if abs(bracket) < 1e-12:
@@ -372,6 +355,18 @@ def boundary_values(f: RationalH2):
     return ps.symmetric_integral(), ps.tail_coefficient()
 
 
+def _pole_action(f: PoleSum, probe: PoleSum, direction: PoleSum):
+    """(x f - c_f 1 + <f, probe> direction, <f, probe>), the action exact by residues."""
+    ip = inner_product(f, probe)
+    return f.shift_multiply() + direction.scaled(ip), ip
+
+
+def _eigen_residual(f: PoleSum, probe: PoleSum, direction: PoleSum, lam0, nodes):
+    """(<f, probe>, max over the nodes of |A f - lam0 f|), A the action of _pole_action."""
+    action, ip = _pole_action(f, probe, direction)
+    return ip, float(np.max(np.abs(action(nodes) - lam0 * f(nodes))))
+
+
 def maximal_action(model: FriedrichsModel, f: PoleSum, swapped: bool = False) -> PoleSum:
     """x f - c_f 1 + <f, phi> psi as an exact pole sum.
 
@@ -380,14 +375,12 @@ def maximal_action(model: FriedrichsModel, f: PoleSum, swapped: bool = False) ->
     """
     probe = model.psi if swapped else model.phi
     direction = model.phi if swapped else model.psi
-    ip = inner_product(f, probe.as_polesum())
-    return f.shift_multiply() + direction.as_polesum().scaled(ip)
+    return _pole_action(f, probe.as_polesum(), direction.as_polesum())[0]
 
 
-def adjoint_apply(model: FriedrichsModel, f: RationalH2, swapped: bool = False,
-                  n: int = 2001, half_width: float = 50.0):
+def adjoint_apply(model: FriedrichsModel, f: RationalH2, swapped: bool = False):
     """Grid evaluation of the maximal action (nodes, values)."""
-    nodes, _ = evaluation_grid(n, half_width)
+    nodes, _ = evaluation_grid()
     out = maximal_action(model, f.as_polesum(), swapped=swapped)
     return nodes, out(nodes)
 
@@ -416,8 +409,7 @@ def hardy_m_reference(bparam: complex, lam: complex) -> complex:
     return 1.0 / (np.sign(complex(lam).imag) * 1j * np.pi - complex(bparam))
 
 
-def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j,
-                                grid_n: int = 2001):
+def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j):
     """Construct the model whose restriction has an eigenvalue the M-function misses.
 
     Scales phi = c psi so the determinant vanishes at lam0; the function
@@ -445,12 +437,9 @@ def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j,
 
     det0 = perturbation_determinant(model, lam0)
     eigfun = psi_ps * PoleSum.single(lam0)
-    ip = inner_product(eigfun, phi.as_polesum())
     gamma1, gamma2 = eigfun.symmetric_integral(), eigfun.tail_coefficient()
-
-    nodes, weights = evaluation_grid(grid_n)
-    action = eigfun.shift_multiply() + psi_ps.scaled(ip)  # uses the computed <u, phi>
-    eig_resid = float(np.max(np.abs(action(nodes) - lam0 * eigfun(nodes))))
+    nodes, weights = evaluation_grid()
+    ip, eig_resid = _eigen_residual(eigfun, phi.as_polesum(), psi_ps, lam0, nodes)
 
     # M_0 pole check: contour integral of M on a small circle around lam0
     circle = ContourSpec(lam0, min(0.25 * abs(lam0.imag), 0.5), 32)
@@ -498,9 +487,7 @@ def _solvability_probe(model: FriedrichsModel, lam0: complex, nodes, weights):
     sqw = np.sqrt(weights)
     cols, penalty = [], []
     for b in trial:
-        image = b.shift_multiply() - b.scaled(lam0) + psi_ps.scaled(
-            inner_product(b, phi_ps)
-        )
+        image = _pole_action(b, phi_ps, psi_ps)[0] - b.scaled(lam0)
         cols.append(sqw * image(nodes))
         penalty.append(10.0 * b.symmetric_integral())
     a = np.vstack([np.array(cols).T, np.array(penalty)[None, :]])
@@ -518,7 +505,7 @@ def _solvability_probe(model: FriedrichsModel, lam0: complex, nodes, weights):
 
 
 def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
-                                bparam: float = 0.0, grid_n: int = 2001):
+                                bparam: float = 0.0):
     """Construct a real eigenvalue embedded in the continuum and invisible to M.
 
     With phi = psi = s (x - lam0) g and real s normalizing
@@ -557,10 +544,7 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
     model = FriedrichsModel(phi=psi, psi=psi, bparam=float(bparam))
 
     eigfun = g_ps.scaled(s)
-    ip = inner_product(eigfun, psi_ps)
-    nodes, _ = evaluation_grid(grid_n)
-    action = eigfun.shift_multiply() + psi_ps.scaled(ip)
-    eig_resid = float(np.max(np.abs(action(nodes) - lam0 * eigfun(nodes))))
+    ip, eig_resid = _eigen_residual(eigfun, psi_ps, psi_ps, lam0, evaluation_grid()[0])
 
     eps = 1e-3
     m_plus = m_value(model, lam0 + 1j * eps)
@@ -584,14 +568,13 @@ def m_scan(model: FriedrichsModel, re_points, eps_values):
     """Rows (re, im, Re M, Im M, |D|, |bracket|) over a grid straddling the axis.
 
     Pole points of M are recorded with NaN values rather than raised.  The
-    lam-independent pole sums are built once for the whole grid.
+    lam-independent pole sums are the model's, built once per model.
     """
-    sums = _ModelSums(model)
     rows = []
     for x0 in re_points:
         for eps in eps_values:
             for lam in (complex(x0, eps), complex(x0, -eps)):
-                det, bracket = _det_and_bracket(model, sums, lam)
+                det, bracket = _det_and_bracket(model, lam)
                 if bracket is None:
                     rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
                     continue

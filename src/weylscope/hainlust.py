@@ -95,11 +95,7 @@ class PiecewisePoly:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(xs.shape, dtype=complex)
         for i, xi in enumerate(xs):
-            cs = self.coeffs[self.piece_index(xi)]
-            acc = 0.0 + 0.0j
-            for c in reversed(cs):
-                acc = acc * xi + c
-            out[i] = acc
+            out[i] = _horner(self.coeffs[self.piece_index(xi)], xi)
         return out if np.ndim(x) else complex(out[0])
 
     def is_real(self) -> bool:
@@ -113,6 +109,14 @@ class PiecewisePoly:
             if any(abs(c) > 0 for c in cs)
         ]
         return _merge_intervals(raw)
+
+
+def _horner(cs, x) -> complex:
+    """The polynomial with coefficients cs (constant term first) at x, in complex arithmetic."""
+    acc = 0.0j
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def _merge_intervals(raw):
@@ -368,18 +372,10 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
             continue
 
         def coeff(x, qc=qc, uc=uc, wc=wc, coupled=coupled):
-            qx = 0.0j
-            for cf in reversed(qc):
-                qx = qx * x + cf
-            val = qx - lam
+            val = _horner(qc, x) - lam
             if coupled:
-                wx = 0.0j
-                for cf in reversed(wc):
-                    wx = wx * x + cf
-                ux = 0.0j
-                for cf in reversed(uc):
-                    ux = ux * x + cf
-                val += wx * wx / (lam - ux)
+                wx = _horner(wc, x)
+                val += wx * wx / (lam - _horner(uc, x))
             return val
 
         y = _magnus_piece(coeff, a, b, y, tol)
@@ -653,6 +649,9 @@ def _resolvent_dense(mat, lam):
 def _jump_norms(model: HLModel, n: int):
     """The map lam -> (full, bordered) of two-sided resolvent jump norms.
 
+    The map returns None for lam within SCAN_SINGULAR_GUARD of the singular
+    set, the essential range of u over the coupling support.
+
     Both are norms of R(lam) - R(conj lam) for the n-point discretization,
     taken in the trapezoid-weighted inner product, in which the
     discretization of real coefficients is self-adjoint: ||D^1/2 J D^-1/2||_2
@@ -665,6 +664,7 @@ def _jump_norms(model: HLModel, n: int):
     2/|Im lam|; complex coefficients solve on the restriction at lam and
     conj lam.
     """
+    sing = model.essran_on_support()
     mat, meta = discretize(model, n)
     keep = _projector_diag(meta) > 0
     root = np.sqrt(np.tile(meta["weights"], 2)[keep])
@@ -687,6 +687,8 @@ def _jump_norms(model: HLModel, n: int):
             return matrix_norm2(root[:, None] * jump / root[None, :])
 
     def norms(lam):
+        if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
+            return None
         inner = bordered(lam)
         off = np.abs(1.0 / (u_off - lam) - 1.0 / (u_off - np.conj(lam)))
         return max(inner, float(off.max(initial=0.0))), inner
@@ -706,17 +708,17 @@ def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
     scan point must keep a complex distance of 1e-3 from the essential
     range over the coupling support.
     """
-    sing = model.essran_on_support()
     jump_norms = _jump_norms(model, n)
     rows = []
     for x0 in re_points:
         for eps in eps_values:
             lam = complex(x0, eps)
-            if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
+            jumps = jump_norms(lam)
+            if jumps is None:
                 raise GridHitsEssranWError(
                     f"scan point {lam} within 1e-3 of the singular set"
                 )
-            full, bordered = jump_norms(lam)
+            full, bordered = jumps
             rows.append(
                 {
                     "re_lambda": float(x0),
@@ -739,17 +741,12 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
     from one eigvalsh per scan for real coefficients and then bounded by
     2/|eps|.
     """
-    sing = model.essran_on_support()
     jump_norms = _jump_norms(model, n)
     nan = complex(np.nan, np.nan)
     rows = []
     for x0 in re_points:
         for eps in eps_values:
-            lam = complex(x0, abs(eps))
-            if interval_set_distance(lam, sing) <= SCAN_SINGULAR_GUARD:
-                jumps = (np.nan, np.nan)
-            else:
-                jumps = jump_norms(lam)
+            jumps = jump_norms(complex(x0, abs(eps))) or (np.nan, np.nan)
             try:
                 m, den = _shoot_m(model, complex(x0, eps), DEFAULT_ODE_TOL)
                 mvals, den_abs = m.ravel(), abs(den)

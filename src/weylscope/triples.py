@@ -150,7 +150,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
     # pairing identity, column blocks:  [action; 0][:, :m] - action_adj^H = rhs[:, :m]
     # and on the defect columns        [action; 0][:, m:]  = rhs[:, m:]
     # where rhs = adj_bnd2^H bnd1 - adj_bnd1^H bnd2.
-    lifted = np.vstack([action, np.zeros((k, n), dtype=complex)])  # value_adj^H @ action
+    lifted = _lifted(action, k)
     supplied = adj_bnd2 is not None
     if supplied:
         adj_bnd2 = _as_matrix(adj_bnd2, h, nt, "adj_bnd2")
@@ -166,7 +166,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
     else:
         adj_bnd2 = np.zeros((0, nt), dtype=complex)
 
-    rhs = adj_bnd2.conj().T @ bnd1 - adj_bnd1.conj().T @ bnd2
+    rhs = _pairing_rhs(bnd1, bnd2, adj_bnd1, adj_bnd2)
     tr = FiniteTriple(
         action=action,
         action_adj=(lifted[:, :m] - rhs[:, :m]).conj().T,
@@ -180,6 +180,16 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
 
     _check_surjective(adj_bnd1, adj_bnd2, "adjoint")
     return tr
+
+
+def _lifted(action, k):
+    """value_adj^H action: the action with k zero rows appended."""
+    return np.vstack([action, np.zeros((k, action.shape[1]), dtype=complex)])
+
+
+def _pairing_rhs(bnd1, bnd2, adj_bnd1, adj_bnd2):
+    """The right side adj_bnd2^H bnd1 - adj_bnd1^H bnd2 of the pairing identity."""
+    return adj_bnd2.conj().T @ bnd1 - adj_bnd1.conj().T @ bnd2
 
 
 def _check_surjective(b1, b2, side):
@@ -270,11 +280,10 @@ def triple_from_dict(data: dict) -> FiniteTriple:
 
 def _pairing_violated(tr: FiniteTriple) -> bool:
     """Whether the matrix defect of the pairing identity exceeds 1e-9 |action|."""
-    m, h, k = tr.state_dim, tr.h, tr.k
-    lift = np.vstack([tr.action, np.zeros((k, m + h), dtype=complex)])
-    adj_lift = np.hstack([tr.action_adj.conj().T, np.zeros((m + k, h), dtype=complex)])
-    rhs = tr.adj_bnd2.conj().T @ tr.bnd1 - tr.adj_bnd1.conj().T @ tr.bnd2
-    gap = lift - adj_lift - rhs
+    adj_lift = np.hstack([tr.action_adj.conj().T,
+                          np.zeros((tr.state_dim + tr.k, tr.h), dtype=complex)])
+    gap = (_lifted(tr.action, tr.k) - adj_lift
+           - _pairing_rhs(tr.bnd1, tr.bnd2, tr.adj_bnd1, tr.adj_bnd2))
     return np.linalg.norm(gap) > 1e-9 * max(1.0, np.linalg.norm(tr.action))
 
 
@@ -543,22 +552,23 @@ def direct_sum_hidden(tr: FiniteTriple, hidden) -> FiniteTriple:
     )
 
 
+def _random_matrix(rng, rows, cols, real):
+    """Seeded standard normal matrix, complex unless real (imaginary part drawn second)."""
+    a = rng.standard_normal((rows, cols))
+    if not real:
+        a = a + 1j * rng.standard_normal((rows, cols))
+    return a
+
+
 def random_triple(rng, state_dim: int, h: int, k: int, real: bool = False) -> FiniteTriple:
     """Random well-conditioned triple for residual suites (seeded, reproducible)."""
-
-    def rand(rows, cols):
-        a = rng.standard_normal((rows, cols))
-        if not real:
-            a = a + 1j * rng.standard_normal((rows, cols))
-        return a
-
     n = state_dim + h
     nt = state_dim + k
     while True:
-        action = rand(state_dim, n)
-        bnd1 = rand(h, n)
-        bnd2 = rand(k, n)
-        adj_bnd1 = rand(k, nt)
+        action = _random_matrix(rng, state_dim, n, real)
+        bnd1 = _random_matrix(rng, h, n, real)
+        bnd2 = _random_matrix(rng, k, n, real)
+        adj_bnd1 = _random_matrix(rng, k, nt, real)
         try:
             return make_triple(action, bnd1, bnd2, adj_bnd1)
         except RankDeficientBoundaryError:  # pragma: no cover - measure zero
@@ -566,7 +576,4 @@ def random_triple(rng, state_dim: int, h: int, k: int, real: bool = False) -> Fi
 
 
 def random_extension(rng, tr: FiniteTriple, real: bool = False) -> Extension:
-    bp = rng.standard_normal((tr.h, tr.k))
-    if not real:
-        bp = bp + 1j * rng.standard_normal((tr.h, tr.k))
-    return Extension(tr, bp)
+    return Extension(tr, _random_matrix(rng, tr.h, tr.k, real))

@@ -211,6 +211,14 @@ def _drop(data, key):
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
                         "grid": {"re": [-1.0, 1.0, 3], "eps": [0.0]}}),
     ("check", lambda m: {"triple": ["triple.json"]}),
+    # an empty eps list wrote a header-only CSV and exited 0
+    ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "eps": [], "fd_n": 64}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": []}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
+                        "grid": {"re": [0.0, 1.0, 2], "eps": []}}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
         "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
@@ -222,7 +230,8 @@ def _drop(data, key):
         "hainlust-re-count-inf", "hainlust-eps-nan", "ex1-b-nan", "ex3-b-nan",
         "ex2-lam0-nan", "contour-hidden-nan", "friedrichs-residue-nan", "seed-negative",
         "seed-fraction", "re-count-fraction", "firstorder-n-fraction", "re-count-zero",
-        "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path"])
+        "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
+        "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))

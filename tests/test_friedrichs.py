@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from weylscope.friedrichs import (
     PoleSum,
     RationalH2,
     _det_and_bracket,
-    _ModelSums,
     adjoint_apply,
     boundary_values,
     cauchy_transform,
@@ -243,12 +244,13 @@ def _determinant_zero_model(rng, lam0):
 
 
 def _pointwise_rows(model, re_points, eps_values):
-    """m_scan's rows from one _det_and_bracket call per point, sums rebuilt each time."""
+    """m_scan's rows from one _det_and_bracket call per point, on a fresh copy of the
+    model each time, so its pole sums are rebuilt and model keeps none cached."""
     rows = []
     for x0 in re_points:
         for eps in eps_values:
             for lam in (complex(x0, eps), complex(x0, -eps)):
-                det, bracket = _det_and_bracket(model, _ModelSums(model), lam)
+                det, bracket = _det_and_bracket(dataclasses.replace(model), lam)
                 if bracket is None:
                     rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
                 elif abs(bracket) < 1e-12:

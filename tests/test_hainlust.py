@@ -321,6 +321,21 @@ def test_winding_refinement_cap_raises(monkeypatch):
         eigenvalues_in(free_model(), 9.5, 10.5, -0.01, 0.01)
 
 
+def test_winding_bisection_resolves_a_root_near_the_boundary():
+    # the same rectangle as above: within the default cap, bisection resolves
+    # the phase jumps and the winding number counts the one root pi^2
+    found = eigenvalues_in(free_model(), 9.5, 10.5, -0.01, 0.01)
+    assert len(found) == 1 and abs(found[0] - np.pi**2) < 1e-8
+
+
+def test_eigenvalues_split_along_the_imaginary_axis():
+    # a region taller than wide is cut across its height first
+    found = eigenvalues_in(free_model(), 5.0, 45.0, -1.0, 60.0)
+    assert len(found) == 2
+    for j, f in enumerate(found, start=1):
+        assert abs(f - (j * np.pi) ** 2) < 1e-8
+
+
 def test_real_axis_zero_two_sided_agreement():
     from weylscope.hainlust import real_axis_zero
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -444,6 +446,21 @@ def test_krein_equal_parameters(rng, triple):
     ext = random_extension(rng, triple)
     lam = _safe_lambda(ext, rng)
     assert krein_residual(ext, ext, lam) < 1e-12
+
+
+def test_krein_owner_triple_compared_by_value(rng, triple):
+    ext_b = random_extension(rng, triple)
+    ext_c = random_extension(rng, triple)
+    lam = _safe_lambda(ext_b, rng)
+    while np.min(np.abs(extension_eigenvalues(ext_c) - lam)) < 0.3:
+        lam = _safe_lambda(ext_b, rng)
+    # an equal copy of the triple is the same owner
+    copy = Extension(dataclasses.replace(triple), ext_c.bparam)
+    assert copy.triple is not triple
+    assert krein_residual(ext_b, copy, lam) == krein_residual(ext_b, ext_c, lam)
+    other = Extension(random_triple(rng, state_dim=6, h=2, k=2), ext_c.bparam)
+    with pytest.raises(ValueError, match="share the owner triple"):
+        krein_residual(ext_b, other, lam)
 
 
 def test_krein_random_pairs(rng, triple):
