@@ -22,7 +22,7 @@ import numpy as np
 
 from . import detect, firstorder, friedrichs, hainlust, triples
 from .errors import ConfigInvalidError, SampleInSpectrumError, WeylScopeError
-# matrix_norm2 stays importable from cli: span tracers wrap it at this site
+# unused here: perfbench/test_perfbench.py checks that its tracer wraps this site
 from .numerics import ContourSpec, matrix_norm2, principal_angles  # noqa: F401
 
 DEFAULT_SEED = 1729
@@ -302,20 +302,18 @@ def _suite_for_triple(rng, tr, tols):
     return entries
 
 
-def _detection_record(ext, contour, triple_id="triple"):
-    """detection_report of the adjoint-side and primary resolvent spaces of one sampling."""
-    spec = detect.saturated_sampling(ext)
-    s_space = detect.build_resolvent_space(ext, spec)
-    s_adj, _ = detect.build_adjoint_spaces(ext, spec)
-    return detect.detection_report(ext, contour, s_adj, s_space, triple_id=triple_id)
+def _hidden_block_extension(rng, tr, hidden):
+    """tr (random when None) under a random bparam, widened by the hidden block."""
+    if tr is None:
+        tr = triples.random_triple(rng, state_dim=4, h=1, k=1)
+    bparam = triples.random_extension(rng, tr).bparam
+    return triples.Extension(triples.direct_sum_hidden(tr, hidden), bparam)
 
 
 def _hidden_block_entries(rng, tols):
-    tr = triples.random_triple(rng, state_dim=4, h=1, k=1)
-    base = triples.random_extension(rng, tr)
-    widened = triples.direct_sum_hidden(tr, np.array([[25.0 + 0.0j]]))
-    record = _detection_record(triples.Extension(widened, base.bparam),
-                               ContourSpec(center=25.0, radius=1.0, nodes=64))
+    ext = _hidden_block_extension(rng, None, np.array([[25.0 + 0.0j]]))
+    record = detect.detection_record(ext, ContourSpec(center=25.0, radius=1.0, nodes=64),
+                                     "triple")
     return [
         _check_entry("morera-bordered", "bordered resolvent analytic across the "
                      "hidden spectrum", record["residual_bordered"], tols),
@@ -391,8 +389,9 @@ def run_scan(cfg, seed, tol):
 def run_eig(cfg, seed, tol):
     data = cfg["model"]
     if data.get("type") == "hainlust":
-        eigenvalues = partial(hainlust.eigenvalues_in, hainlust.model_from_dict(data),
-                              *(float(v) for v in cfg["region"]))
+        region = [float(v) for v in cfg["region"]]
+        hainlust._check_region(*region)
+        eigenvalues = partial(hainlust.eigenvalues_in, hainlust.model_from_dict(data), *region)
     else:
         tr = triples.triple_from_dict(data)
         if "bparam" in cfg:
@@ -416,19 +415,15 @@ def run_eig(cfg, seed, tol):
 
 
 def run_contour(cfg, seed, tol):
-    rng = np.random.default_rng(seed)
-    tr = (_read_triple(cfg["triple"]) if "triple" in cfg
-          else triples.random_triple(rng, state_dim=4, h=1, k=1))
-    base_ext = triples.random_extension(rng, tr)
-    if "hidden" in cfg:
-        tr = triples.direct_sum_hidden(tr, _complex_matrix(cfg["hidden"]))
-    ext = triples.Extension(tr, base_ext.bparam)
+    tr = _read_triple(cfg["triple"]) if "triple" in cfg else None
+    hidden = _complex_matrix(cfg.get("hidden", []))
+    ext = _hidden_block_extension(np.random.default_rng(seed), tr, hidden)
     circle = cfg["contour"]
     contour = ContourSpec(center=complex(*circle["center"]), radius=float(circle["radius"]),
                           nodes=circle["nodes"])
 
     def report(out_path):
-        record = _detection_record(ext, contour, cfg.get("triple", "seeded"))
+        record = detect.detection_record(ext, contour, cfg.get("triple", "seeded"))
         record["command"] = "contour"
         _write_json(out_path, record)
         return 0

@@ -28,6 +28,7 @@ from .triples import (
     Extension,
     adjoint_extension,
     extension_eigenvalues,
+    extension_operator,
     resolvent_matrices,
     solution_basis,
     spectrum_distance,
@@ -61,7 +62,7 @@ class SubspaceBasis:
     """Orthonormal columns spanning one detection space."""
 
     basis: np.ndarray
-    side: str  # 'solution' | 'resolvent' | 'solution-adjoint' | 'resolvent-adjoint'
+    side: str  # 'solution' | 'resolvent'
 
     @property
     def dim(self) -> int:
@@ -107,13 +108,6 @@ def _sample_stream(ext: Extension):
     return anchor, points()
 
 
-def default_sampling(ext: Extension, count: int = 24) -> SpaceSamplingSpec:
-    """Deterministic sampling plan: the first count points of the sample stream."""
-    anchor, stream = _sample_stream(ext)
-    pts = tuple(itertools.islice(stream, count))
-    return SpaceSamplingSpec(anchor=anchor, resolvent_samples=pts, solution_samples=pts)
-
-
 def _solution_columns(ext: Extension, points) -> np.ndarray:
     """State values of the solution-operator ranges at the points, side by side."""
     blocks = [ext.triple.values(solution_basis(ext, mu)) for mu in points]
@@ -134,32 +128,25 @@ def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBa
     _check_samples(ext, (spec.anchor,), "anchor")
     tr = ext.triple
     anchor_vals = tr.values(solution_basis(ext, spec.anchor))
-    blocks = []
-    for delta in spec.resolvent_samples:
-        _, rv = resolvent_matrices(ext, delta)
-        blocks.append(rv @ anchor_vals)
+    blocks = [resolvent_matrices(ext, delta)[1] @ anchor_vals for delta in spec.resolvent_samples]
     cols = np.hstack(blocks) if blocks else np.zeros((tr.state_dim, 0), dtype=complex)
     return SubspaceBasis(basis=orthonormal_basis(cols), side="resolvent")
 
 
-def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec):
-    """(resolvent-adjoint, solution-adjoint) bases from the adjoint-side restriction.
-
-    The adjoint side is sampled at the conjugated points, which avoid the
-    conjugated spectrum exactly when the original points avoid the spectrum.
-    """
-    adj = adjoint_extension(ext)
+def _adjoint_side(ext: Extension, spec: SpaceSamplingSpec):
+    """The adjoint-side restriction and the plan conjugated to keep clear of its spectrum."""
     conj_spec = SpaceSamplingSpec(
         anchor=np.conj(spec.anchor),
         resolvent_samples=tuple(np.conj(z) for z in spec.resolvent_samples),
         solution_samples=tuple(np.conj(z) for z in spec.solution_samples),
     )
-    s_adj = build_resolvent_space(adj, conj_spec)
-    t_adj = build_solution_space(adj, conj_spec)
-    return (
-        SubspaceBasis(basis=s_adj.basis, side="resolvent-adjoint"),
-        SubspaceBasis(basis=t_adj.basis, side="solution-adjoint"),
-    )
+    return adjoint_extension(ext), conj_spec
+
+
+def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec):
+    """(resolvent, solution) bases of the adjoint-side restriction at the conjugated plan."""
+    adj, conj_spec = _adjoint_side(ext, spec)
+    return build_resolvent_space(adj, conj_spec), build_solution_space(adj, conj_spec)
 
 
 def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
@@ -198,6 +185,11 @@ def _compress(mat: np.ndarray, left: SubspaceBasis, right: SubspaceBasis) -> np.
     return left.basis.conj().T @ mat @ right.basis
 
 
+def _bordered_norm(full: np.ndarray, left: SubspaceBasis, right: SubspaceBasis) -> float:
+    """Norm of a contour integral compressed between the two bases."""
+    return matrix_norm2(_compress(full, left, right))
+
+
 def bordered_resolvent(ext: Extension, lam: complex, left: SubspaceBasis,
                        right: SubspaceBasis) -> np.ndarray:
     """Resolvent compressed between the adjoint-side and primary-side bases."""
@@ -214,7 +206,7 @@ def morera_residual(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
     compression of full_contour_integral, whose nodes must keep a
     clearance (CONTOUR_CLEARANCE) from the spectrum.
     """
-    return matrix_norm2(_compress(full_contour_integral(ext, contour), left, right))
+    return _bordered_norm(full_contour_integral(ext, contour), left, right)
 
 
 def full_contour_integral(ext: Extension, contour: ContourSpec) -> np.ndarray:
@@ -237,8 +229,6 @@ def spectral_projection(ext: Extension, contour: ContourSpec) -> np.ndarray:
     Built from the dense eigendecomposition of the restriction, independent
     of any contour quadrature.
     """
-    from .triples import extension_operator
-
     op = extension_operator(ext)
     vals, vecs = np.linalg.eig(op)
     inside = np.abs(vals - contour.center) < contour.radius
@@ -263,12 +253,20 @@ def detection_report(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
             "radius": contour.radius,
             "nodes": contour.nodes,
         },
-        "residual_bordered": matrix_norm2(_compress(full, left, right)),
+        "residual_bordered": _bordered_norm(full, left, right),
         "residual_full": matrix_norm2(full),
         "dims": {
-            "S": right.dim if right.side.startswith("resolvent") else None,
-            "T": right.dim if right.side.startswith("solution") else None,
-            "Sadj": left.dim if left.side.startswith("resolvent") else None,
-            "Tadj": left.dim if left.side.startswith("solution") else None,
+            "S": right.dim if right.side == "resolvent" else None,
+            "T": right.dim if right.side == "solution" else None,
+            "Sadj": left.dim if left.side == "resolvent" else None,
+            "Tadj": left.dim if left.side == "solution" else None,
         },
     }
+
+
+def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> dict:
+    """detection_report between S~ and S, the resolvent spaces of the two sides."""
+    spec = saturated_sampling(ext)
+    s_space = build_resolvent_space(ext, spec)
+    s_adj = build_resolvent_space(*_adjoint_side(ext, spec))
+    return detection_report(ext, contour, s_adj, s_space, triple_id=triple_id)

@@ -66,7 +66,8 @@ class PiecewisePoly:
     """Piecewise polynomial on [0, 1]: breakpoints and global-variable coefficients.
 
     coeffs[j] holds the coefficients (constant term first) of the polynomial
-    valid on [breaks[j], breaks[j+1]].
+    valid on [breaks[j], breaks[j+1]].  The breakpoints run from 0 to 1 and
+    every piece has at least one coefficient.
     """
 
     breaks: tuple
@@ -76,16 +77,18 @@ class PiecewisePoly:
         br = tuple(float(b) for b in self.breaks)
         if len(br) < 2 or any(a >= b for a, b in zip(br, br[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.coeffs) != len(br) - 1:
-            raise ValueError("need one coefficient list per piece")
+        if br[0] != 0.0 or br[-1] != 1.0:
+            raise ValueError(f"breakpoints must run from 0 to 1, got {br[0]} to {br[-1]}")
+        if len(self.coeffs) != len(br) - 1 or not all(self.coeffs):
+            raise ValueError("need one non-empty coefficient list per piece")
         object.__setattr__(self, "breaks", br)
         object.__setattr__(
             self, "coeffs", tuple(tuple(complex(c) for c in cs) for cs in self.coeffs)
         )
 
     @classmethod
-    def constant(cls, value, lo: float = 0.0, hi: float = 1.0) -> "PiecewisePoly":
-        return cls(breaks=(lo, hi), coeffs=((value,),))
+    def constant(cls, value) -> "PiecewisePoly":
+        return cls(breaks=(0.0, 1.0), coeffs=((value,),))
 
     def piece_index(self, x: float) -> int:
         idx = int(np.searchsorted(self.breaks, x, side="right")) - 1
@@ -208,8 +211,7 @@ class HLModel:
         return essential_range(self.u, restrict_to=self.coupling_support)
 
     def breakpoints(self):
-        pts = sorted(set(self.q.breaks) | set(self.u.breaks) | set(self.w.breaks))
-        return [p for p in pts if 0.0 <= p <= 1.0]
+        return sorted(set(self.q.breaks) | set(self.u.breaks) | set(self.w.breaks))
 
 
 def model_to_dict(model: HLModel) -> dict:
@@ -354,10 +356,6 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
     ca, sa = np.cos(model.alpha), np.sin(model.alpha)
     y = (complex(ca), complex(sa), complex(-sa), complex(ca))
     pts = model.breakpoints()
-    if pts[0] > 0.0:
-        pts = [0.0] + pts
-    if pts[-1] < 1.0:
-        pts = pts + [1.0]
     for a, b in zip(pts, pts[1:]):
         mid = 0.5 * (a + b)
         qc = model.q.coeffs[model.q.piece_index(mid)]
@@ -491,6 +489,12 @@ def _newton_polish(model, lam, tol):
     raise NoConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} steps, at lam={lam}")
 
 
+def _check_region(re_lo, re_hi, im_lo, im_hi):
+    """Raise ValueError unless re_lo < re_hi and im_lo < im_hi."""
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise ValueError(f"region bounds must increase, got {[re_lo, re_hi, im_lo, im_hi]}")
+
+
 def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     """All denominator zeros in the rectangle, by subdivision plus Newton.
 
@@ -498,8 +502,10 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     range of the multiplier; located zeros are polished to 1e-10 and the
     final count is checked against the winding number of the whole region.
     A Newton run that does not converge counts as a miss: the rectangle is
-    subdivided, down to ROOT_MAX_DEPTH levels.
+    subdivided, down to ROOT_MAX_DEPTH levels.  Raises ValueError unless
+    re_lo < re_hi and im_lo < im_hi.
     """
+    _check_region(re_lo, re_hi, im_lo, im_hi)
     tol = ROOT_ODE_TOL
     essran_full = model.essran()
     for z in _boundary_path(re_lo, re_hi, im_lo, im_hi, 16):

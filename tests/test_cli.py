@@ -219,6 +219,19 @@ def _drop(data, key):
                         "grid": {"re": [-1.0, 1.0, 3], "eps": []}}),
     ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
                         "grid": {"re": [0.0, 1.0, 2], "eps": []}}),
+    # a piece without coefficients raised IndexError in shoot; a u defined on
+    # [0, 0.5] only was extended over [0.5, 1] and gave finite M rows on its range
+    ("eig", lambda m: {"model": {**m, "q": {"breaks": [0.0, 1.0], "coeffs": [[]]}},
+                       "region": [0.5, 15.0, -1.0, 1.0]}),
+    ("scan", lambda m: {"model": {**m, "q": {"breaks": [0.0, 1.0], "coeffs": [[]]}}}),
+    ("scan", lambda m: {"model": {**m, "u": {"breaks": [0.0, 0.5],
+                                             "coeffs": [[[0.0, 0.0], [1.0, 0.0]]]},
+                                  "w": {"breaks": [0.0, 1.0], "coeffs": [[[1.0, 0.0]]]}},
+                        "grid": {"re": [0.6, 0.9, 4], "eps": [1e-9], "fd_n": 32}}),
+    # bounds that do not increase hit the winding cap or ran for minutes
+    ("eig", lambda m: {"model": m, "region": [50.0, 0.5, -1.0, 1.0]}),
+    ("eig", lambda m: {"model": m, "region": [0.5, 50.0, 0.0, 0.0]}),
+    ("eig", lambda m: {"model": m, "region": [0.5, 50.0, 1.0, -1.0]}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
         "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
@@ -231,7 +244,9 @@ def _drop(data, key):
         "ex2-lam0-nan", "contour-hidden-nan", "friedrichs-residue-nan", "seed-negative",
         "seed-fraction", "re-count-fraction", "firstorder-n-fraction", "re-count-zero",
         "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
-        "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty"])
+        "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty",
+        "eig-hainlust-empty-piece", "scan-hainlust-empty-piece", "scan-hainlust-u-short",
+        "eig-region-re-decreasing", "eig-region-im-flat", "eig-region-im-decreasing"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))
@@ -391,6 +406,18 @@ def test_example_ex1_flags_filled_half_plane(tmp_path):
     assert main(["example", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["eigenvalue_filled_half_plane"] == "upper"
+    assert rep["max_closed_form_deviation"] < 1e-9
+
+
+def test_example_ex1_lower_half_plane_filled(tmp_path):
+    # B = -i pi: only upper-half-plane points are compared with the closed form
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"example": "ex1", "B": [0.0, -np.pi]})
+    out = tmp_path / "ex1.json"
+    assert main(["example", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["eigenvalue_filled_half_plane"] == "lower"
+    assert rep["points_checked"] == 44
     assert rep["max_closed_form_deviation"] < 1e-9
 
 

@@ -11,7 +11,7 @@ from weylscope.detect import (
     build_resolvent_space,
     build_solution_space,
     bordered_resolvent,
-    default_sampling,
+    detection_record,
     detection_report,
     full_contour_integral,
     invariance_residual,
@@ -53,7 +53,7 @@ def hidden_ext(rng):
 
 
 def test_single_sample_space_dimension(ext):
-    spec = default_sampling(ext)
+    spec = saturated_sampling(ext)
     one = SpaceSamplingSpec(
         anchor=spec.anchor,
         resolvent_samples=spec.resolvent_samples[:1],
@@ -82,24 +82,28 @@ def test_rank_saturation(ext):
     spec = saturated_sampling(ext)
     t_basis = build_solution_space(ext, spec)
     # adding further points must not raise the rank
-    grown = default_sampling(ext, count=33)
     bigger = SpaceSamplingSpec(
         anchor=spec.anchor,
         resolvent_samples=spec.resolvent_samples,
-        solution_samples=spec.solution_samples + grown.solution_samples[-3:],
+        solution_samples=spec.solution_samples + (7.5j, -6.0 + 2.0j, 4.0 - 5.0j),
     )
     assert build_solution_space(ext, bigger).dim == t_basis.dim
 
 
-def test_saturated_sampling_continues_default_stream(ext):
+def test_saturated_sampling_plan(ext):
     spec = saturated_sampling(ext)
     n = len(spec.solution_samples)
-    assert n > 12
-    plain = default_sampling(ext, count=n)
-    assert spec.solution_samples == plain.solution_samples
+    assert 12 < n <= 200
     assert spec.resolvent_samples == spec.solution_samples
-    assert spec.anchor == plain.anchor
-    assert default_sampling(ext, count=n + 5).solution_samples[:n] == plain.solution_samples
+    assert saturated_sampling(ext) == spec
+    # golden-angle points alternating between two circles about the spectrum's mean
+    eigs = extension_eigenvalues(ext)
+    center = complex(np.mean(eigs))
+    radius = float(np.max(np.abs(eigs - center))) + 1.0
+    dist = np.abs(np.array(spec.solution_samples) - center)
+    np.testing.assert_allclose(dist[0::2], radius)
+    np.testing.assert_allclose(dist[1::2], 2.0 * radius)
+    assert spec.anchor == center + 1.37j * (2.0 * radius)
 
 
 def test_spectrum_computed_once_per_extension(monkeypatch, hidden_ext):
@@ -162,6 +166,7 @@ def test_adjoint_spaces_real_model(rng):
     spec = saturated_sampling(ext)
     s_basis = build_resolvent_space(ext, spec)
     s_adj, t_adj = build_adjoint_spaces(ext, spec)
+    assert (s_adj.side, t_adj.side) == ("resolvent", "solution")
     # real data: the adjoint-side spaces coincide with the primary ones
     assert np.max(principal_angles(s_adj.basis, s_basis.basis)) < 1e-8
     assert np.max(principal_angles(t_adj.basis, s_basis.basis)) < 1e-8
@@ -190,7 +195,7 @@ def test_invariance_full_space(ext):
 
 
 def test_invariance_unsaturated_space(hidden_ext):
-    spec = default_sampling(hidden_ext)
+    spec = saturated_sampling(hidden_ext)
     one = SpaceSamplingSpec(
         anchor=spec.anchor,
         resolvent_samples=spec.resolvent_samples[:1],
@@ -246,7 +251,7 @@ def test_morera_empty_contour_region(ext):
 def test_morera_contour_clearance_enforced(ext):
     lam = complex(extension_eigenvalues(ext)[0])
     contour = ContourSpec(center=lam + 1e-6, radius=2e-6, nodes=8)
-    spec = default_sampling(ext)
+    spec = saturated_sampling(ext)
     t_basis = build_solution_space(ext, spec)
     with pytest.raises(ContourHitsSpectrumError):
         morera_residual(ext, contour, t_basis, t_basis)
@@ -309,3 +314,19 @@ def test_detection_report_fields(hidden_ext):
     assert rec["residual_full"] > 0.1
     assert rec["dims"]["S"] == s_basis.dim
     assert rec["dims"]["Sadj"] == s_adj.dim
+
+
+def test_detection_record_builds_only_s_and_s_adjoint(hidden_ext, solve_calls):
+    # S and S~ take one anchor solve and one solve per sample each, the report
+    # one per node; the adjoint solution space is not built
+    contour = ContourSpec(center=25.0, radius=1.0, nodes=64)
+    rec = detection_record(hidden_ext, contour, "demo")
+    n = hidden_ext.triple.dom_dim
+    assert hidden_ext.triple.adj_dom_dim == n
+    record_solves = sum(shape == (n, n) for shape in solve_calls)
+    spec = saturated_sampling(hidden_ext)
+    assert record_solves == 3 * len(spec.solution_samples) + 2 + 64
+    s_basis = build_resolvent_space(hidden_ext, spec)
+    s_adj, _ = build_adjoint_spaces(hidden_ext, spec)
+    assert rec == detection_report(hidden_ext, contour, s_adj, s_basis, triple_id="demo")
+    assert rec["dims"] == {"S": s_basis.dim, "T": None, "Sadj": s_adj.dim, "Tadj": None}

@@ -6,6 +6,7 @@ import pytest
 from weylscope.errors import (
     BracketZeroError,
     ConstructionFailedError,
+    DZeroError,
     PoleCollisionError,
     RealLambdaError,
 )
@@ -241,6 +242,12 @@ def _determinant_zero_model(rng, lam0):
     phi = RationalH2(poles=phi0.poles, residues=tuple(scale * r for r in phi0.residues),
                      orders=phi0.orders)
     return FriedrichsModel(phi=phi, psi=psi, bparam=complex(*rng.uniform(-0.5, 0.5, 2)))
+
+
+def test_m_value_raises_where_the_determinant_vanishes():
+    model = _determinant_zero_model(np.random.default_rng(7), -0.5j)
+    with pytest.raises(DZeroError, match="determinant vanishes"):
+        m_value(model, -0.5j)
 
 
 def _pointwise_rows(model, re_points, eps_values):

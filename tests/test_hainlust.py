@@ -77,6 +77,17 @@ def test_essran_constant():
     assert essential_range(PiecewisePoly.constant(5.0)) == [(5.0, 5.0)]
 
 
+@pytest.mark.parametrize("breaks, coeffs", [
+    ((0.0, 0.5), ((0.0, 1.0),)),
+    ((0.25, 1.0), ((1.0,),)),
+    ((0.0, 1.0), ((),)),
+    ((0.0, 0.5, 1.0), ((1.0,), ())),
+], ids=["ends-before-1", "starts-after-0", "empty-piece", "empty-second-piece"])
+def test_piecewise_poly_covers_unit_interval_with_nonempty_pieces(breaks, coeffs):
+    with pytest.raises(ValueError):
+        PiecewisePoly(breaks=breaks, coeffs=coeffs)
+
+
 def test_interval_distance():
     assert interval_set_distance(3.0 + 4.0j, [(0.0, 3.0)]) == pytest.approx(4.0)
     assert interval_set_distance(5.0 + 0.0j, [(0.0, 3.0)]) == pytest.approx(2.0)
@@ -307,6 +318,13 @@ def test_eigenvalues_against_fd_oracle():
         assert np.min(np.abs(eigs - root)) < 5e-3
 
 
+@pytest.mark.parametrize("region", [(50.0, 0.5, -1.0, 1.0), (0.5, 50.0, 0.0, 0.0),
+                                    (0.5, 50.0, 1.0, -1.0), (0.5, 0.5, -1.0, 1.0)])
+def test_eigenvalues_region_bounds_must_increase(region):
+    with pytest.raises(ValueError, match="region bounds must increase"):
+        eigenvalues_in(free_model(), *region)
+
+
 def test_eigenvalues_region_boundary_near_essran_rejected():
     with pytest.raises(ContourHitsEssranError):
         eigenvalues_in(step_model(), 2.0005, 10.0, -1.0, 1.0)
@@ -455,6 +473,15 @@ def test_scan_rows_match_m_matrix_and_bordered_scan():
     for row in rows[~singular]:
         (ref,) = bordered_scan(model, [row[0]], [abs(row[1])], n=64)
         assert (row[11], row[12]) == (ref["full_jump"], ref["bordered_jump"])
+
+
+def test_scan_rows_nan_row_where_shooting_fails():
+    # x0 = 2.0 is the singular set of the step model: shooting raises within
+    # 1e-8 of it, so the row holds NaN after (re, eps), jumps included
+    rows = scan_rows(step_model(), [2.0], [1e-9, -1e-9], n=64)
+    assert [row[:2] for row in rows] == [[2.0, 1e-9], [2.0, -1e-9]]
+    for row in rows:
+        assert len(row) == 13 and np.isnan(row[2:]).all()
 
 
 @pytest.mark.parametrize("coupling, solves", [(1.0, 0), (1.0 + 0.5j, 2)])
