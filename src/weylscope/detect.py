@@ -62,7 +62,6 @@ class SubspaceBasis:
     """Orthonormal columns spanning one detection space."""
 
     basis: np.ndarray
-    side: str  # 'solution' | 'resolvent'
 
     @property
     def dim(self) -> int:
@@ -108,29 +107,29 @@ def _sample_stream(ext: Extension):
     return anchor, points()
 
 
-def _solution_columns(ext: Extension, points) -> np.ndarray:
-    """State values of the solution-operator ranges at the points, side by side."""
-    blocks = [ext.triple.values(solution_basis(ext, mu)) for mu in points]
+def _side_by_side(ext: Extension, blocks) -> np.ndarray:
+    """State-space column blocks side by side; state_dim x 0 when there are none."""
     return np.hstack(blocks) if blocks else np.zeros((ext.triple.state_dim, 0), dtype=complex)
 
 
+def _solution_columns(ext: Extension, points) -> np.ndarray:
+    """State values of the solution-operator ranges at the points, side by side."""
+    return _side_by_side(ext, [ext.triple.values(solution_basis(ext, mu)) for mu in points])
+
+
 def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
-    """Orthonormal basis of the span of solution-operator ranges over the samples."""
+    """Orthonormal basis of the solution-operator ranges over the samples; the anchor is unused."""
     _check_samples(ext, spec.solution_samples, "solution sample")
-    _check_samples(ext, (spec.anchor,), "anchor")
-    cols = _solution_columns(ext, spec.solution_samples)
-    return SubspaceBasis(basis=orthonormal_basis(cols), side="solution")
+    return SubspaceBasis(basis=orthonormal_basis(_solution_columns(ext, spec.solution_samples)))
 
 
 def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
     """Basis of the span of resolvent images of the anchor solution range."""
     _check_samples(ext, spec.resolvent_samples, "resolvent sample")
     _check_samples(ext, (spec.anchor,), "anchor")
-    tr = ext.triple
-    anchor_vals = tr.values(solution_basis(ext, spec.anchor))
+    anchor_vals = ext.triple.values(solution_basis(ext, spec.anchor))
     blocks = [resolvent_matrices(ext, delta)[1] @ anchor_vals for delta in spec.resolvent_samples]
-    cols = np.hstack(blocks) if blocks else np.zeros((tr.state_dim, 0), dtype=complex)
-    return SubspaceBasis(basis=orthonormal_basis(cols), side="resolvent")
+    return SubspaceBasis(basis=orthonormal_basis(_side_by_side(ext, blocks)))
 
 
 def _adjoint_side(ext: Extension, spec: SpaceSamplingSpec):
@@ -239,12 +238,16 @@ def spectral_projection(ext: Extension, contour: ContourSpec) -> np.ndarray:
     return v_in @ wl
 
 
-def detection_report(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
-                     right: SubspaceBasis, triple_id: str = "triple") -> dict:
-    """JSON-ready record comparing bordered and full contour residuals.
+def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> dict:
+    """JSON-ready record comparing the bordered and full contour residuals.
 
-    Both residuals come from one resolvent per contour node.
+    The bordered residual is taken between S~ and S, the resolvent spaces of
+    the adjoint and of the primary side at the saturated plan; both
+    residuals come from one resolvent per contour node.
     """
+    spec = saturated_sampling(ext)
+    s_space = build_resolvent_space(ext, spec)
+    s_adj = build_resolvent_space(*_adjoint_side(ext, spec))
     full = full_contour_integral(ext, contour)
     return {
         "triple_id": triple_id,
@@ -253,20 +256,8 @@ def detection_report(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
             "radius": contour.radius,
             "nodes": contour.nodes,
         },
-        "residual_bordered": _bordered_norm(full, left, right),
+        "residual_bordered": _bordered_norm(full, s_adj, s_space),
         "residual_full": matrix_norm2(full),
-        "dims": {
-            "S": right.dim if right.side == "resolvent" else None,
-            "T": right.dim if right.side == "solution" else None,
-            "Sadj": left.dim if left.side == "resolvent" else None,
-            "Tadj": left.dim if left.side == "solution" else None,
-        },
+        # T and Tadj, the solution-space dims, stay null until ROADMAP item 2 fills T
+        "dims": {"S": s_space.dim, "T": None, "Sadj": s_adj.dim, "Tadj": None},
     }
-
-
-def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> dict:
-    """detection_report between S~ and S, the resolvent spaces of the two sides."""
-    spec = saturated_sampling(ext)
-    s_space = build_resolvent_space(ext, spec)
-    s_adj = build_resolvent_space(*_adjoint_side(ext, spec))
-    return detection_report(ext, contour, s_adj, s_space, triple_id=triple_id)

@@ -36,6 +36,7 @@ from .numerics import ContourSpec, contour_integral
 _MERGE_TOL = 1e-13
 _REAL_AXIS_TOL = 1e-12
 GRID_HALF_WIDTH = 50.0
+GRID_NODES = 2001
 
 
 # ------------------------------------------------------------ pole-form sums
@@ -233,28 +234,12 @@ class FriedrichsModel:
         return psi, conj_phi, psi * conj_phi, psi.poles() + conj_phi.poles()
 
 
-def model_to_dict(model: FriedrichsModel) -> dict:
-    def enc(f: RationalH2):
-        return {
-            "poles": [[p.real, p.imag] for p in f.poles],
-            "residues": [[r.real, r.imag] for r in f.residues],
-            "orders": list(f.orders),
-        }
-
-    return {
-        "type": "friedrichs",
-        "phi": enc(model.phi),
-        "psi": enc(model.psi),
-        "B": [complex(model.bparam).real, complex(model.bparam).imag],
-    }
-
-
 def model_from_dict(data: dict) -> FriedrichsModel:
     def dec(obj):
         return RationalH2(
             poles=tuple(complex(re, im) for re, im in obj["poles"]),
             residues=tuple(complex(re, im) for re, im in obj["residues"]),
-            orders=tuple(obj.get("orders", ())) or (1,) * len(obj["poles"]),
+            orders=tuple(obj.get("orders", ())),
         )
 
     b = data.get("B", [0.0, 0.0])
@@ -265,8 +250,9 @@ def model_from_dict(data: dict) -> FriedrichsModel:
 # ------------------------------------------------------------- evaluation grid
 
 
-def evaluation_grid(n: int = 2001):
-    """Chebyshev-mapped nodes on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], trapezoid weights."""
+def evaluation_grid():
+    """GRID_NODES Chebyshev-mapped nodes on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH] and weights."""
+    n = GRID_NODES
     nodes = GRID_HALF_WIDTH * np.cos(np.pi * np.arange(n) / (n - 1))[::-1]
     weights = np.zeros(n)
     weights[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
@@ -376,13 +362,6 @@ def maximal_action(model: FriedrichsModel, f: PoleSum, swapped: bool = False) ->
     probe = model.psi if swapped else model.phi
     direction = model.phi if swapped else model.psi
     return _pole_action(f, probe.as_polesum(), direction.as_polesum())[0]
-
-
-def adjoint_apply(model: FriedrichsModel, f: RationalH2, swapped: bool = False):
-    """Grid evaluation of the maximal action (nodes, values)."""
-    nodes, _ = evaluation_grid()
-    out = maximal_action(model, f.as_polesum(), swapped=swapped)
-    return nodes, out(nodes)
 
 
 def green_pair_residual(model: FriedrichsModel, f: RationalH2, g: RationalH2) -> float:

@@ -149,25 +149,21 @@ def _poly_range_on(cs, lo, hi):
     return min(vals), max(vals)
 
 
-def essential_range(poly: PiecewisePoly, restrict_to=None):
+def essential_range(poly: PiecewisePoly, restrict_to=((0.0, 1.0),)):
     """Essential range of a real piecewise polynomial as merged closed intervals.
 
-    restrict_to is an optional list of intervals (e.g. the coupling support);
-    full range over [0,1] when omitted.  Single points come out as degenerate
-    intervals.
+    restrict_to is a list of intervals (e.g. the coupling support), all of
+    [0, 1] by default.  Single points come out as degenerate intervals.
     """
     if not poly.is_real():
         raise ValueError("essential range supported for real coefficients only")
     pieces = []
     for j, cs in enumerate(poly.coeffs):
         lo, hi = poly.breaks[j], poly.breaks[j + 1]
-        if restrict_to is not None:
-            for rlo, rhi in restrict_to:
-                a, b = max(lo, rlo), min(hi, rhi)
-                if a < b:
-                    pieces.append(_poly_range_on(cs, a, b))
-        else:
-            pieces.append(_poly_range_on(cs, lo, hi))
+        for rlo, rhi in restrict_to:
+            a, b = max(lo, rlo), min(hi, rhi)
+            if a < b:
+                pieces.append(_poly_range_on(cs, a, b))
     return _merge_intervals(pieces)
 
 
@@ -212,23 +208,6 @@ class HLModel:
 
     def breakpoints(self):
         return sorted(set(self.q.breaks) | set(self.u.breaks) | set(self.w.breaks))
-
-
-def model_to_dict(model: HLModel) -> dict:
-    def enc(p: PiecewisePoly):
-        return {
-            "breaks": list(p.breaks),
-            "coeffs": [[[c.real, c.imag] for c in cs] for cs in p.coeffs],
-        }
-
-    return {
-        "type": "hainlust",
-        "q": enc(model.q),
-        "u": enc(model.u),
-        "w": enc(model.w),
-        "alpha": model.alpha,
-        "beta": model.beta,
-    }
 
 
 def model_from_dict(data: dict) -> HLModel:
@@ -568,10 +547,10 @@ def _nudge_cut(cut, width, intervals):
     return cut
 
 
-def _dedupe(roots, tol=1e-7):
+def _dedupe(roots):
     out: list[complex] = []
     for r in roots:
-        if all(abs(r - s) > tol * max(1.0, abs(r)) for s in out):
+        if all(abs(r - s) > 1e-7 * max(1.0, abs(r)) for s in out):
             out.append(r)
     return out
 
@@ -635,7 +614,7 @@ def discretize(model: HLModel, n: int):
     weights = np.full(npts, h)
     weights[0] = weights[-1] = h / 2.0
     mask = np.abs(w) > 0
-    meta = {"nodes": x, "weights": weights, "support_mask": mask, "h": h}
+    meta = {"nodes": x, "weights": weights, "support_mask": mask}
     return mat, meta
 
 
@@ -702,7 +681,7 @@ def _jump_norms(model: HLModel, n: int):
     return norms
 
 
-def bordered_scan(model: HLModel, re_points, eps_values, n: int = 400):
+def bordered_scan(model: HLModel, re_points, eps_values, n: int):
     """Two-sided resolvent jumps across the real axis at the given points.
 
     For each re point and eps the rows report the norm of R(x+i eps) -
@@ -766,8 +745,7 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
     return rows
 
 
-def reducing_residual(model: HLModel, lam: complex, n: int = 400,
-                      mask_override=None) -> float:
+def reducing_residual(model: HLModel, lam: complex, n: int, mask_override=None) -> float:
     """Defect of the coupling-support subspace being reducing for the resolvent.
 
     |(I-P) R P| + |P R (I-P)| on the discretization, in the trapezoid-weighted
@@ -787,7 +765,7 @@ def reducing_residual(model: HLModel, lam: complex, n: int = 400,
     return float(matrix_norm2(off) + matrix_norm2(off2))
 
 
-def schroedinger_block_resolvent(model: HLModel, lam: complex, n: int = 400) -> np.ndarray:
+def schroedinger_block_resolvent(model: HLModel, lam: complex, n: int) -> np.ndarray:
     """Resolvent of the scalar Schroedinger block alone (oracle for w = 0)."""
     mat, meta = discretize(model, n)
     npts = meta["nodes"].size

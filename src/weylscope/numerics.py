@@ -39,15 +39,13 @@ class ContourSpec:
         return self.center + self.radius * np.exp(1j * ang)
 
 
-def orthonormal_basis(columns, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical column span at relative cutoff tol.
+def orthonormal_basis(columns) -> np.ndarray:
+    """Orthonormal basis of the numerical column span at relative cutoff DEFAULT_RANK_TOL.
 
     Empty input yields an n x 0 matrix.  The singular-value cutoff is
     relative to the largest singular value, which keeps detected dimensions
     stable under sampling noise.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     cols = np.asarray(columns, dtype=complex)
     if cols.ndim == 1:
         cols = cols[:, None]
@@ -56,7 +54,7 @@ def orthonormal_basis(columns, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     return u[:, :rank]
 
 
@@ -106,19 +104,19 @@ def contour_integral(f, contour: ContourSpec):
     return total * (2.0 * np.pi / contour.nodes)
 
 
-def real_line_quadrature(f, decay_order: int, nodes: int = DEFAULT_LINE_NODES) -> complex:
+def real_line_quadrature(f, decay_order: int) -> complex:
     """Integral of f over the whole real line by tan-substitution Gauss-Legendre.
 
     f must decay like |x|^(-decay_order) with decay_order >= 2.  The line is
-    split at 0 into two panels so integrands with a kink at the origin (the
-    regularized boundary functionals) keep spectral accuracy.  f is called
-    once per panel on the node array and must return an array of its shape
-    (ValueError otherwise); exceptions raised by f propagate unchanged.
+    split at 0 into two panels of DEFAULT_LINE_NODES / 2 nodes each, so
+    integrands with a kink at the origin (the regularized boundary
+    functionals) keep spectral accuracy.  f is called once per panel on the
+    node array and must return an array of its shape (ValueError otherwise);
+    exceptions raised by f propagate unchanged.
     """
     if decay_order < 2:
         raise SlowDecayError(f"decay order {decay_order} < 2")
-    half = max(nodes // 2, 8)
-    base, weights = leggauss(half)
+    base, weights = leggauss(DEFAULT_LINE_NODES // 2)
     total = 0.0 + 0.0j
     for lo, hi in ((-np.pi / 2, 0.0), (0.0, np.pi / 2)):
         theta = 0.5 * (hi - lo) * base + 0.5 * (hi + lo)

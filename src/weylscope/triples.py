@@ -562,6 +562,8 @@ def _random_matrix(rng, rows, cols, real):
 
 def random_triple(rng, state_dim: int, h: int, k: int, real: bool = False) -> FiniteTriple:
     """Random well-conditioned triple for residual suites (seeded, reproducible)."""
+    if h > state_dim or k > state_dim:  # else a side's boundary maps are never surjective
+        raise ValueError(f"need h, k <= state_dim = {state_dim}, got h = {h}, k = {k}")
     n = state_dim + h
     nt = state_dim + k
     while True:
@@ -571,7 +573,7 @@ def random_triple(rng, state_dim: int, h: int, k: int, real: bool = False) -> Fi
         adj_bnd1 = _random_matrix(rng, k, nt, real)
         try:
             return make_triple(action, bnd1, bnd2, adj_bnd1)
-        except RankDeficientBoundaryError:  # pragma: no cover - measure zero
+        except RankDeficientBoundaryError:  # pragma: no cover - measure zero once h, k <= state_dim
             continue
 
 

@@ -21,7 +21,6 @@ from weylscope.hainlust import (
     interval_set_distance,
     m_matrix,
     model_from_dict,
-    model_to_dict,
     reducing_residual,
     scan_rows,
     schroedinger_block_resolvent,
@@ -426,13 +425,19 @@ def test_discretize_second_order_convergence():
     assert errs[1] / errs[2] > 3.0
 
 
-def test_model_json_roundtrip():
-    model = generic_model()
-    back = model_from_dict(model_to_dict(model))
-    x = np.linspace(0, 1, 7)
-    np.testing.assert_allclose(back.u(x), model.u(x))
-    np.testing.assert_allclose(back.w(x), model.w(x))
-    np.testing.assert_allclose(back.q(x), model.q(x))
+def test_model_from_dict_reads_the_config_format():
+    # complex coefficients are [re, im] pairs, constant term first
+    model = model_from_dict({
+        "type": "hainlust",
+        "q": {"breaks": [0.0, 0.5, 1.0], "coeffs": [[[0.3, 0.0], [0.5, 0.0]], [[1.0, -0.25]]]},
+        "u": {"breaks": [0.0, 1.0], "coeffs": [[[2.0, 0.0]]]},
+        "w": {"breaks": [0.0, 0.5, 1.0], "coeffs": [[[0.8, 0.0], [0.2, 0.0]], [[0.0, 0.0]]]},
+        "alpha": 1.1, "beta": 2.0,
+    })
+    assert model.q == PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((0.3, 0.5), (1.0 - 0.25j,)))
+    assert model.u == PiecewisePoly.constant(2.0)
+    assert model.w == PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((0.8, 0.2), (0.0,)))
+    assert (model.alpha, model.beta) == (1.1, 2.0)
 
 
 # -------------------------------------------------------------- bordered scan

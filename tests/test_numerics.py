@@ -19,13 +19,13 @@ from weylscope.numerics import (
 
 def test_orthonormal_basis_rank_one():
     cols = np.array([[1.0, 2.0], [0.0, 0.0]])
-    q = orthonormal_basis(cols, 1e-10)
+    q = orthonormal_basis(cols)
     assert q.shape == (2, 1)
     assert abs(abs(q[0, 0]) - 1.0) < 1e-14
 
 
 def test_orthonormal_basis_identity():
-    q = orthonormal_basis(np.eye(4), 1e-10)
+    q = orthonormal_basis(np.eye(4))
     assert q.shape == (4, 4)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(4), atol=1e-13)
 
@@ -34,7 +34,7 @@ def test_orthonormal_basis_recovers_rank():
     rng = np.random.default_rng(5)
     sub = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
     mix = sub @ (rng.standard_normal((5, 50)) + 1j * rng.standard_normal((5, 50)))
-    q = orthonormal_basis(mix, 1e-10)
+    q = orthonormal_basis(mix)
     # independent rank oracle: svd of the raw column family
     s = np.linalg.svd(mix, compute_uv=False)
     assert q.shape[1] == int(np.sum(s > 1e-10 * s[0])) == 5
@@ -43,19 +43,19 @@ def test_orthonormal_basis_recovers_rank():
 def test_orthonormal_basis_idempotent():
     rng = np.random.default_rng(6)
     cols = rng.standard_normal((15, 7)) + 1j * rng.standard_normal((15, 7))
-    q1 = orthonormal_basis(cols, 1e-10)
-    q2 = orthonormal_basis(q1, 1e-10)
+    q1 = orthonormal_basis(cols)
+    q2 = orthonormal_basis(q1)
     assert np.max(principal_angles(q1, q2)) < 1e-12
 
 
 def test_orthonormal_basis_empty():
-    q = orthonormal_basis(np.zeros((4, 0)), 1e-10)
+    q = orthonormal_basis(np.zeros((4, 0)))
     assert q.shape == (4, 0)
 
 
 def test_principal_angles_equal_spans():
     rng = np.random.default_rng(7)
-    q = orthonormal_basis(rng.standard_normal((10, 3)), 1e-10)
+    q = orthonormal_basis(rng.standard_normal((10, 3)))
     assert np.max(principal_angles(q, q)) < 1e-14
 
 

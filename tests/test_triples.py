@@ -156,6 +156,19 @@ def test_serialization_rejects_corruption(triple):
 # ------------------------------------------------------------ extension basics
 
 
+class _NoDraws:
+    def standard_normal(self, size):
+        raise AssertionError("drew from the generator")
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 0), (1, 1, 2)])
+def test_random_triple_rejects_boundary_rows_beyond_state_dim(shape):
+    # one side's stacked boundary maps would have more rows than columns, so
+    # no draw could succeed: the call raises before drawing
+    with pytest.raises(ValueError, match="h, k <= state_dim"):
+        random_triple(_NoDraws(), *shape)
+
+
 def test_extension_domain_no_bnd2(rng):
     # k = 0: the boundary condition reduces to ker(bnd1)
     tr = random_triple(rng, state_dim=4, h=1, k=0)
