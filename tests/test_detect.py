@@ -309,6 +309,23 @@ def test_detection_record_fields(hidden_ext):
     assert rec["residual_full"] > 0.1
 
 
+def test_detection_report_one_solve_per_node(hidden_ext, solve_calls):
+    # the spaces do not depend on the contour, so doubling the nodes adds
+    # exactly one solve per added node: the bordered and the full residual
+    # share the one resolvent taken at each node (the spectrum is cached
+    # first, so its one-off solve falls in neither count)
+    extension_eigenvalues(hidden_ext)
+    solve_calls.clear()
+    detection_record(hidden_ext, ContourSpec(center=25.0, radius=1.0, nodes=32), "demo")
+    coarse = len(solve_calls)
+    solve_calls.clear()
+    detection_record(hidden_ext, ContourSpec(center=25.0, radius=1.0, nodes=64), "demo")
+    assert len(solve_calls) - coarse == 32
+    solve_calls.clear()
+    full_contour_integral(hidden_ext, ContourSpec(center=25.0, radius=1.0, nodes=64))
+    assert len(solve_calls) == 64
+
+
 def test_detection_record_builds_only_s_and_s_adjoint(hidden_ext, solve_calls):
     # S and S~ take one anchor solve and one solve per sample each, the
     # residuals one per node; the adjoint solution space is not built
