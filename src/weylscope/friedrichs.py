@@ -543,23 +543,179 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
     }
 
 
+# ------------------------------------------------------------ whole-grid scan
+#
+# m_scan forms D, I_psi, I_phi and the bracket at every grid point at once,
+# on float64 (real, imag) array pairs, replaying the operations of the
+# pointwise route in their order.  Each operation follows the formula that
+# its scalar operands' types select: Python complex division is CPython's
+# _Py_c_quot, a division with an np.complex128 operand is numpy's (a product
+# with the reciprocal of the denominator), and a power of an np.complex128
+# returns exponents 1 to 3 unrolled.  PoleSum.conjugate makes conj(phi), psi
+# conj(phi) and whatever they enter numpy scalars.
+
+
+def _c_mul(a, b):
+    """Product of (re, im) pairs in the operation order of CPython's and numpy's."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _c_pow(x, n, numpy):
+    """x ** n for an int n >= 1: CPython's binary exponentiation, or numpy's power."""
+    if numpy and n == 1:
+        return x
+    if numpy and n <= 3:  # numpy unrolls x * x and x * (x * x)
+        return _c_mul(x, x) if n == 2 else _c_mul(x, _c_mul(x, x))
+    out = (1.0, 0.0)
+    while True:
+        if n & 1:
+            out = _c_mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = _c_mul(x, x)
+
+
+def _c_quot(a, b, numpy):
+    """a / b as CPython's _Py_c_quot or, when numpy, as numpy's complex division."""
+    (ar, ai), (br, bi) = a, b
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    re = np.where(wide, ar + ai * ratio, ar * ratio + ai)
+    im = np.where(wide, ai - ar * ratio, ai * ratio - ar)
+    if numpy:
+        scale = 1.0 / denom
+        return re * scale, im * scale
+    return re / denom, im / denom
+
+
+def _finite(*pairs):
+    return np.logical_and.reduce([np.isfinite(part) for pair in pairs for part in pair])
+
+
+def _cauchy_plan(ps: PoleSum):
+    """The lam-independent part of _cauchy(ps, lam) as PoleSum.__mul__ and _add_term take it.
+
+    Returns (keys, steps).  keys lists the (pole, order) keys of the product
+    in insertion order, pole None standing for lam.  Each step adds
+    num / (a - lam)^e (flip false) or num / (lam - a)^e (flip true) to a key;
+    num is the scalar numerator, so its type is the scalar route's.
+    """
+    keys, steps = [], []
+
+    def key_index(pole, order):
+        for k, (p, o) in enumerate(keys):  # the merge loop of _add_term
+            if p is not None and o == order and abs(p - pole) <= _MERGE_TOL * max(1.0, abs(p)):
+                return k
+        keys.append((pole, order))
+        return len(keys) - 1
+
+    for (a, p), c1 in ps.terms.items():
+        c = c1 * (1.0 + 0.0j)  # times the coefficient of PoleSum.single(lam)
+        for i in range(1, p + 1):
+            steps.append((key_index(a, i), c * (-1) ** (p - i) * comb(p - i, p - i), a, p + 1 - i,
+                          False))
+        if (None, 1) not in keys:
+            keys.append((None, 1))
+        steps.append((keys.index((None, 1)), c * (-1) ** 0 * comb(p - 1, 0), a, p, True))
+    return keys, steps
+
+
+def _cauchy_grid(ps: PoleSum, lam, upper: bool):
+    """_cauchy(ps, lam) over a pair of arrays lam in one half plane.
+
+    Returns (value, numpy, usable): the (re, im) arrays, whether the scalar
+    route returns an np.complex128 there, and where it takes the branches
+    replayed here: no coefficient is 0, no key is removed, the tail check
+    passes and every value is finite (a complex power that overflows raises).
+    """
+    keys, steps = _cauchy_plan(ps)
+    zero = (np.zeros_like(lam[0]), np.zeros_like(lam[0]))  # the 0j that sums start from
+    vals, kinds = [zero] * len(keys), [False] * len(keys)
+    usable = np.ones(lam[0].shape, dtype=bool)
+    for k, num, a, e, flip in steps:
+        base = (lam[0] - a.real, lam[1] - a.imag) if flip else (a.real - lam[0], a.imag - lam[1])
+        numpy_pow = isinstance(a, np.generic)
+        power = _c_pow(base, e, numpy_pow)
+        numpy = numpy_pow or isinstance(num, np.generic)
+        coef = _c_quot((num.real, num.imag), power, numpy)
+        vals[k] = (vals[k][0] + coef[0], vals[k][1] + coef[1])
+        kinds[k] = kinds[k] or numpy
+        usable &= _finite(power, coef) & ((coef[0] != 0) | (coef[1] != 0))
+        usable &= np.hypot(*vals[k]) >= 2e-250  # margin on the removal test at 1e-250
+    tail, total, kind, scale = zero, zero, False, 0.0
+    for (pole, order), v, numpy in zip(keys, vals, kinds):
+        scale = np.maximum(scale, np.hypot(*v))
+        if order != 1:
+            continue
+        tail = (tail[0] + v[0], tail[1] + v[1])
+        if (upper if pole is None else pole.imag > 0):
+            total, kind = (total[0] + v[0], total[1] + v[1]), kind or numpy
+    usable &= np.hypot(*tail) <= 0.5e-10 * np.maximum(scale, 1.0)  # margin on the tail check
+    two_pi_i = 2j * np.pi
+    return _c_mul((two_pi_i.real, two_pi_i.imag), total), kind, usable
+
+
+def _grid_det_and_bracket(model: FriedrichsModel, lams, upper: bool):
+    """(D, bracket) lists over points lams in one half plane, D None where not served.
+
+    Values are those of _det_and_bracket, types included, wherever lam is
+    off the real axis and clear of every pole and the replayed branches hold.
+    """
+    lam = (np.array([z.real for z in lams]), np.array([z.imag for z in lams]))
+    psi, conj_phi, psi_conj_phi, poles = model._sums
+    usable = np.abs(lam[1]) > _REAL_AXIS_TOL
+    size = np.hypot(*lam)
+    for p in poles:  # 2x the pole-check and merge tolerances, so ulps cannot decide
+        reach = max(1.0, abs(p))
+        tol = np.maximum(1e-10 * reach, _MERGE_TOL * np.maximum(reach, size))
+        usable &= np.hypot(lam[0] - p.real, lam[1] - p.imag) > 2.0 * tol
+    i_d, det_numpy, ok_d = _cauchy_grid(psi_conj_phi, lam, upper)
+    i_psi, psi_numpy, ok_psi = _cauchy_grid(psi, lam, upper)
+    i_phi, phi_numpy, ok_phi = _cauchy_grid(conj_phi, lam, upper)
+    det = (1.0 + i_d[0], 0.0 + i_d[1])
+    quot = _c_quot(_c_mul(i_psi, i_phi), det, det_numpy or psi_numpy or phi_numpy)
+    sign_term = np.sign(1.0 if upper else -1.0) * 1j * np.pi
+    b = complex(model.bparam)
+    bracket = ((sign_term.real + quot[0]) - b.real, (sign_term.imag + quot[1]) - b.imag)
+    usable &= ok_d & ok_psi & ok_phi & _finite(det, bracket)
+    det_arr, bracket_arr = np.empty(len(lams), complex), np.empty(len(lams), complex)
+    det_arr.real, det_arr.imag = det
+    bracket_arr.real, bracket_arr.imag = bracket
+    dets = list(det_arr) if det_numpy else det_arr.tolist()
+    return [d if ok else None for d, ok in zip(dets, usable)], list(bracket_arr)
+
+
 def m_scan(model: FriedrichsModel, re_points, eps_values):
     """Rows (re, im, Re M, Im M, |D|, |bracket|) over a grid straddling the axis.
 
     Pole points of M are recorded with NaN values rather than raised.  The
-    lam-independent pole sums are the model's, built once per model.
+    whole grid is evaluated at once, bit-identical to _det_and_bracket at
+    every point; points where that route branches (near a pole or the real
+    axis, |D| or |bracket| below 1e-12, a pole-sum term dropped or removed,
+    a tail check near failing, a value not finite) take _det_and_bracket
+    itself, in grid order, so errors surface at the same first point.
     """
+    lams = [lam for x0 in re_points for eps in eps_values
+            for lam in (complex(x0, eps), complex(x0, -eps))]
+    dets, brackets = [None] * len(lams), [None] * len(lams)
+    with np.errstate(all="ignore"):  # points that fall back may overflow or divide by 0
+        for upper in (True, False):
+            idx = [k for k, lam in enumerate(lams) if (lam.imag > 0) == upper]
+            got = _grid_det_and_bracket(model, [lams[k] for k in idx], upper)
+            for k, det, bracket in zip(idx, *got):
+                dets[k], brackets[k] = det, bracket
     rows = []
-    for x0 in re_points:
-        for eps in eps_values:
-            for lam in (complex(x0, eps), complex(x0, -eps)):
-                det, bracket = _det_and_bracket(model, lam)
-                if bracket is None:
-                    rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
-                    continue
-                if abs(bracket) < 1e-12:
-                    rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), abs(bracket)))
-                    continue
-                m = 1.0 / bracket
-                rows.append((lam.real, lam.imag, m.real, m.imag, abs(det), abs(bracket)))
+    for lam, det, bracket in zip(lams, dets, brackets):
+        if det is None or abs(det) < 1e-12 or abs(bracket) < 1e-12:
+            det, bracket = _det_and_bracket(model, lam)
+        if bracket is None:
+            rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
+            continue
+        if abs(bracket) < 1e-12:
+            rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), abs(bracket)))
+            continue
+        m = 1.0 / bracket
+        rows.append((lam.real, lam.imag, m.real, m.imag, abs(det), abs(bracket)))
     return rows

@@ -27,6 +27,7 @@ tolerance applies to those pieces alone.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ WINDING_MAX_REFINE = 4000
 ROOT_ODE_TOL = 1e-11
 ROOT_MAX_DEPTH = 40
 NEWTON_MAX_ITER = 60
+# above this Re(s h) a constant piece's transfer is carried scaled by e^(-Re(s h))
+RESCALE_EXPONENT = 700.0
 REAL_ZERO_AGREEMENT = 1e-6
 
 
@@ -230,14 +233,20 @@ def model_from_dict(data: dict) -> HLModel:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """End values at x = 1 of the two canonical initial-value solutions."""
+    """End values at x = 1 of the two canonical initial-value solutions.
+
+    The solutions' values are e^log_scale times those stored; log_scale is 0
+    unless a transfer was rescaled (see _constant_transfer).
+    """
 
     y1_at_1: complex
     dy1_at_1: complex
     y2_at_1: complex
     dy2_at_1: complex
+    log_scale: float = 0.0
 
     def wronskian(self) -> complex:
+        """Wronskian of the stored values: e^(-2 log_scale) times the solutions' (1)."""
         return self.y1_at_1 * self.dy2_at_1 - self.dy1_at_1 * self.y2_at_1
 
 
@@ -246,25 +255,39 @@ def _constant_transfer(c, h, y):
 
     The transfer matrix [[cosh(s h), sinh(s h)/s], [c sinh(s h)/s, cosh(s h)]]
     with s^2 = c is even in s, so any square root serves; a short series
-    replaces it when |s h| is tiny (exactly 1, h, 0 at c = 0).  Raises
-    ToleranceNotMetError when the values leave double range.
+    replaces it when |s h| is tiny (exactly 1, h, 0 at c = 0).
+
+    Returns (values, shift) with the end values e^shift times values.  shift
+    is 0 unless Re(s h) > RESCALE_EXPONENT for the principal root s, where
+    cosh and sinh approach the edge of double range: the matrix is then
+    scaled by e^(-Re(s h)), a positive factor that leaves every ratio of the
+    values unchanged.  Raises ToleranceNotMetError when the values leave double
+    range.
     """
     t = c * h * h
+    shift = 0.0
     try:
         if abs(t) < 1e-6:
             ch = 1.0 + t / 2.0 + t * t / 24.0
             sh = h * (1.0 + t / 6.0 + t * t / 120.0)
         else:
             s = cmath.sqrt(c)
-            ch = cmath.cosh(s * h)
-            sh = cmath.sinh(s * h) / s
+            x = s * h
+            if x.real > RESCALE_EXPONENT:
+                # e^(-Re x) cosh x and e^(-Re x) sinh x are e^(i Im x) / 2 up to e^(-2 Re x)
+                shift = x.real
+                ch = cmath.exp(1j * x.imag) / 2.0
+                sh = ch / s
+            else:
+                ch = cmath.cosh(x)
+                sh = cmath.sinh(x) / s
     except OverflowError as exc:
         raise ToleranceNotMetError(f"transfer over width {h} overflows at c={c}") from exc
     a, b, p, d = y
     out = (ch * a + sh * b, c * sh * a + ch * b, ch * p + sh * d, c * sh * p + ch * d)
     if not all(cmath.isfinite(v) for v in out):
         raise ToleranceNotMetError(f"solutions leave double range at c={c}")
-    return out
+    return out, shift
 
 
 # commutator-free fourth-order Magnus step: Gauss-node offset and weights
@@ -277,12 +300,17 @@ def _magnus_step(coeff, x, h, y):
     """One fourth-order step of width h from x: two exact transfers of width h/2.
 
     The coefficients of the two transfers mix coeff at the Gauss nodes of
-    [x, x + h] (Blanes & Moan 2006), so each step is unimodular.
+    [x, x + h] (Blanes & Moan 2006), so each step is unimodular.  The error
+    control compares values across steps, so a rescaled transfer raises
+    ToleranceNotMetError here.
     """
     c1 = coeff(x + (0.5 - _GAUSS_OFFSET) * h)
     c2 = coeff(x + (0.5 + _GAUSS_OFFSET) * h)
-    y = _constant_transfer(2.0 * (_MAGNUS_A * c1 + _MAGNUS_B * c2), 0.5 * h, y)
-    return _constant_transfer(2.0 * (_MAGNUS_B * c1 + _MAGNUS_A * c2), 0.5 * h, y)
+    for c in (2.0 * (_MAGNUS_A * c1 + _MAGNUS_B * c2), 2.0 * (_MAGNUS_B * c1 + _MAGNUS_A * c2)):
+        y, shift = _constant_transfer(c, 0.5 * h, y)
+        if shift:
+            raise ToleranceNotMetError(f"transfer over width {0.5 * h} overflows at c={c}")
+    return y
 
 
 def _magnus_piece(coeff, x0, x1, y, tol):
@@ -322,8 +350,9 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
     A piece on which q, u and w are all constant is propagated by its exact
     transfer matrix; a piece with a non-constant polynomial takes adaptive
     Magnus steps, each a product of two exact transfers, and tol applies to
-    those pieces alone.  Raises ToleranceNotMetError when the solutions
-    leave double range or the steps cannot meet tol.
+    those pieces alone.  An exact transfer past double range is carried
+    scaled, its exponent summed into log_scale.  Raises ToleranceNotMetError
+    when the solutions leave double range or the steps cannot meet tol.
     """
     lam = complex(lam)
     sing = model.essran_on_support()
@@ -334,6 +363,7 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
 
     ca, sa = np.cos(model.alpha), np.sin(model.alpha)
     y = (complex(ca), complex(sa), complex(-sa), complex(ca))
+    log_scale = 0.0
     pts = model.breakpoints()
     for a, b in zip(pts, pts[1:]):
         mid = 0.5 * (a + b)
@@ -345,7 +375,8 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
             c = qc[0] - lam
             if coupled:
                 c += wc[0] * wc[0] / (lam - uc[0])
-            y = _constant_transfer(c, b - a, y)
+            y, shift = _constant_transfer(c, b - a, y)
+            log_scale += shift
             continue
 
         def coeff(x, qc=qc, uc=uc, wc=wc, coupled=coupled):
@@ -356,7 +387,8 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
             return val
 
         y = _magnus_piece(coeff, a, b, y, tol)
-    return ShootingResult(y1_at_1=y[0], dy1_at_1=y[1], y2_at_1=y[2], dy2_at_1=y[3])
+    return ShootingResult(y1_at_1=y[0], dy1_at_1=y[1], y2_at_1=y[2], dy2_at_1=y[3],
+                          log_scale=log_scale)
 
 
 def _robin_at_1(model: HLModel, y: complex, dy: complex) -> complex:
@@ -365,22 +397,35 @@ def _robin_at_1(model: HLModel, y: complex, dy: complex) -> complex:
 
 
 def bc_denominator(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> complex:
-    """The boundary-condition denominator whose zeros are the eigenvalues."""
+    """The boundary-condition denominator whose zeros are the eigenvalues.
+
+    Where the shoot rescaled, it is e^(-log_scale) times the denominator:
+    the zeros and the argument that _winding follows are unchanged.
+    """
     res = shoot(model, lam, tol)
     return _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
 
 
 def _shoot_m(model: HLModel, lam: complex, tol: float):
-    """Shoot once at lam; return the 2x2 M-matrix and the boundary denominator."""
+    """Shoot once at lam; return the 2x2 M-matrix and |boundary denominator|.
+
+    Where the shoot rescaled, m11 and m22 are ratios of values at one scale,
+    m12 = sin(alpha) / den takes the factor e^(-log_scale) and may underflow,
+    and |den| is reported as inf: it lies beyond e^RESCALE_EXPONENT times the
+    stored one.
+    """
     res = shoot(model, lam, tol)
     den = _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
-    if abs(den) < 1e-12:
+    if abs(den) < 1e-12 * math.exp(-res.log_scale):
         raise AtEigenvalueError(f"boundary denominator vanishes at lam={lam}")
     sa, ca = np.sin(model.alpha), np.cos(model.alpha)
     m11 = -res.y2_at_1 / den
     m12 = sa / den
     m22 = sa * ca + sa * sa * _robin_at_1(model, res.y1_at_1, res.dy1_at_1) / den
-    return np.array([[m11, m12], [m12, m22]], dtype=complex), den
+    if res.log_scale:
+        m12 = m12 * math.exp(-res.log_scale)
+    den_abs = np.inf if res.log_scale else abs(den)
+    return np.array([[m11, m12], [m12, m22]], dtype=complex), den_abs
 
 
 def m_matrix(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> np.ndarray:
@@ -720,8 +765,9 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
 
     One row per (re, eps), in grid order: re, eps, the real and imaginary
     parts of m11, m12, m21, m22, |denominator|, full jump, bordered jump.
-    M entries and |denominator| are NaN where shooting fails; jumps are NaN
-    within 1e-3 of the singular set.  The jumps are those of bordered_scan
+    M entries and |denominator| are NaN where shooting fails, and
+    |denominator| is inf where the shoot rescaled (see _shoot_m); jumps are
+    NaN within 1e-3 of the singular set.  The jumps are those of bordered_scan
     at (re, |eps|) on the n-point discretization: trapezoid-weighted norms,
     from one eigvalsh per scan for real coefficients and then bounded by
     2/|eps|.
@@ -733,8 +779,8 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
         for eps in eps_values:
             jumps = jump_norms(complex(x0, abs(eps))) or (np.nan, np.nan)
             try:
-                m, den = _shoot_m(model, complex(x0, eps), DEFAULT_ODE_TOL)
-                mvals, den_abs = m.ravel(), abs(den)
+                m, den_abs = _shoot_m(model, complex(x0, eps), DEFAULT_ODE_TOL)
+                mvals = m.ravel()
             except WeylScopeError:
                 mvals, den_abs = (nan,) * 4, np.nan
             row = [x0, eps]

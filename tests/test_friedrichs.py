@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from weylscope import friedrichs
 from weylscope.errors import (
     BracketZeroError,
     ConstructionFailedError,
@@ -276,21 +277,140 @@ def test_m_scan_matches_pointwise_evaluation(polesum_mul_calls):
     assert repr(rows) == repr(expected)
     pole_rows = [r for r in rows if np.isnan(r[2])]
     assert len(pole_rows) == 1 and pole_rows[0][:2] == (0.0, -0.5)
-    # psi conj(phi) is formed once per scan; a point costs the determinant's
-    # product plus, off the zeros of D, one product per transform
-    assert len(polesum_mul_calls) == 1 + 3 * (len(rows) - 1) + 1
+    # psi conj(phi) is formed once per scan; the grid takes no product, and the
+    # zero of D falls back to _det_and_bracket, which forms the determinant's
+    assert len(polesum_mul_calls) == 1 + 1
 
 
-def test_m_scan_raises_on_real_lambda():
-    with pytest.raises(RealLambdaError):
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The points at which m_scan falls back to _det_and_bracket while the test runs."""
+    points = []
+
+    def recording(model, lam):
+        points.append(lam)
+        return _det_and_bracket(model, lam)
+
+    monkeypatch.setattr(friedrichs, "_det_and_bracket", recording)
+    return points
+
+
+def _scan_matches_pointwise(model, re_points, eps_values):
+    """m_scan's rows, after checking them repr-equal (types included) to _pointwise_rows."""
+    expected = _pointwise_rows(model, re_points, eps_values)
+    rows = m_scan(model, re_points, eps_values)
+    assert repr(rows) == repr(expected)
+    return rows
+
+
+def _seeded_model(seed, phi_orders=(2, 1), psi_orders=(1, 2)):
+    """A model drawn like the benchmark's: one pole per half plane in phi and psi."""
+    rng = np.random.default_rng(seed)
+
+    def rational(orders):
+        poles = tuple(complex(rng.uniform(-2, 2), sign * rng.uniform(0.5, 2)) for sign in (-1, 1))
+        residues = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in poles)
+        return RationalH2(poles=poles, residues=residues, orders=orders)
+
+    phi, psi = rational(phi_orders), rational(psi_orders)
+    return FriedrichsModel(phi=phi, psi=psi, bparam=complex(*(0.5 * rng.uniform(-1, 1, 2))))
+
+
+@pytest.mark.parametrize("seed", range(401, 431))
+def test_m_scan_matches_pointwise_on_seeded_models(seed, fallbacks):
+    # 21 real parts hold 0.0; eps as in the benchmark, down to 1e-3
+    _scan_matches_pointwise(_seeded_model(seed), np.linspace(-3.0, 3.0, 21), [0.3, 0.1, 1e-3])
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_m_scan_matches_pointwise_with_order_three_poles(seed, fallbacks):
+    model = _seeded_model(seed, phi_orders=(3, 1), psi_orders=(2, 3))
+    _scan_matches_pointwise(model, np.linspace(-3.0, 3.0, 21), [0.5, 1e-2])
+    assert fallbacks == []
+
+
+def test_m_scan_matches_pointwise_on_signed_zero_real_parts():
+    # a pole with real part -0.0 against grid points 0.0 and -0.0, and real residues,
+    # whose conjugates carry -0.0 imaginary parts
+    phi = RationalH2(poles=(complex(-0.0, -1.0),), residues=(1.0,))
+    psi = RationalH2(poles=(complex(-0.0, -2.0), 0.5 + 1j), residues=(0.5, -2.0), orders=(3, 1))
+    _scan_matches_pointwise(FriedrichsModel(phi=phi, psi=psi), [0.0, -0.0, 1.0], [1.5, -1.5, 0.5])
+
+
+def test_m_scan_matches_pointwise_where_psi_poles_merge(fallbacks):
+    # the order-2 pole of psi lies within the merge tolerance of its order-1 pole,
+    # so every product merges their order-1 terms, which enter the upper-half-plane
+    # sum ahead of lam's; no point needs to fall back
+    psi = RationalH2(poles=(1j, 1j * (1 + 1e-15)), residues=(1.0, 0.5), orders=(1, 2))
+    model = FriedrichsModel(phi=simple(-0.5 + 2j, 0.4), psi=psi)
+    _scan_matches_pointwise(model, np.linspace(-1.0, 1.0, 7), [0.5, 0.1])
+    assert fallbacks == []
+
+
+def test_m_scan_matches_pointwise_on_empty_pole_sums():
+    for phi, psi in ((simple(-1j, 0.0), simple(-1j)), (simple(-1j), simple(-1j, 0.0))):
+        _scan_matches_pointwise(FriedrichsModel(phi=phi, psi=psi, bparam=0.3), [0.0, 1.0],
+                                [0.5, 0.1])
+
+
+def test_m_scan_falls_back_where_the_determinant_vanishes(fallbacks):
+    model = _determinant_zero_model(np.random.default_rng(7), -0.5j)
+    rows = _scan_matches_pointwise(model, [-0.5, 0.0], [0.5])
+    assert fallbacks == [-0.5j]
+    assert np.isnan(rows[3][2]) and np.isnan(rows[3][5])
+
+
+def test_m_scan_falls_back_where_the_bracket_vanishes(fallbacks):
+    rows = _scan_matches_pointwise(hardy_model(b=np.pi * 1j), [0.0, 1.0], [1e-2])
+    assert fallbacks == [0.01j, 1 + 0.01j]
+    assert [np.isnan(r[2]) for r in rows] == [True, False, True, False]
+
+
+def test_m_scan_falls_back_near_a_pole(fallbacks):
+    # 1.5e-10 from the pole -i of psi passes the pole check at 1e-10 but lies
+    # inside the 2e-10 margin of the grid route; 3e-10 lies outside it
+    model = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7))
+    _scan_matches_pointwise(model, [1.5e-10, 3e-10], [1.0])
+    assert fallbacks == [1.5e-10 - 1j]
+
+
+def test_m_scan_falls_back_where_a_pole_sum_term_is_removed(fallbacks):
+    # at lam = 1e60 +- i the 1e-200 term of psi gives coefficients below 1e-250,
+    # which _add_term removes
+    psi = RationalH2(poles=(-1j, 2 - 1j), residues=(1.0, 1e-200))
+    model = FriedrichsModel(phi=simple(-0.5 + 1j, 0.4), psi=psi)
+    _scan_matches_pointwise(model, [0.5, 1e60], [1.0])
+    assert fallbacks == [1e60 + 1j, 1e60 - 1j]
+
+
+def test_m_scan_falls_back_where_a_coefficient_underflows_to_zero(fallbacks):
+    # conj(phi) shares the pole -i of psi, so psi conj(phi) is one order-3 term;
+    # at lam = 1e100 +- i its coefficients over (x +- lam)^2 and ^3 underflow to 0,
+    # which _add_term drops, while no kept coefficient falls below 1e-250
+    model = FriedrichsModel(phi=simple(1j, 0.4), psi=simple(-1j, 1e-140, order=2))
+    _scan_matches_pointwise(model, [0.5, 1e100], [1.0])
+    assert fallbacks == [1e100 + 1j, 1e100 - 1j]
+
+
+def test_m_scan_raises_on_real_lambda(fallbacks):
+    with pytest.raises(RealLambdaError) as pointwise:
+        _pointwise_rows(hardy_model(), [0.0, 1.0], [0.1, 0.0])
+    with pytest.raises(RealLambdaError, match="lambda=0j lies") as scan:
         m_scan(hardy_model(), [0.0, 1.0], [0.1, 0.0])
+    assert str(scan.value) == str(pointwise.value)
+    assert fallbacks == [0j]
 
 
-def test_m_scan_raises_on_psi_pole():
+def test_m_scan_raises_on_psi_pole(fallbacks):
     # the second point, -i, is the pole of psi; conj(phi) has its pole at 2i
     model = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7 + 0.3j))
-    with pytest.raises(PoleCollisionError, match=r"collides with pole \(-0-1j\)"):
-        m_scan(model, [0.0], [1.0])
+    with pytest.raises(PoleCollisionError) as pointwise:
+        _pointwise_rows(model, [0.0, 1.0], [1.0])
+    with pytest.raises(PoleCollisionError, match=r"lambda=-1j collides with pole \(-0-1j\)") as scan:
+        m_scan(model, [0.0, 1.0], [1.0])
+    assert str(scan.value) == str(pointwise.value)
+    assert fallbacks == [-1j]
 
 
 def test_m_scan_non_hardy_jump_converges():

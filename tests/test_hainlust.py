@@ -8,7 +8,6 @@ from weylscope.errors import (
     ContourHitsEssranError,
     GridHitsEssranWError,
     NoConvergenceError,
-    ToleranceNotMetError,
 )
 from weylscope.hainlust import (
     HLModel,
@@ -209,9 +208,23 @@ def test_constant_transfer_series_matches_closed_form(c):
     s = np.sqrt(complex(c))
     ch, sh = np.cosh(s * h), np.sinh(s * h) / s
     ref = (ch, c * sh, sh, ch)
-    got = hainlust._constant_transfer(c, h, (1.0, 0.0, 0.0, 1.0))
+    got, shift = hainlust._constant_transfer(c, h, (1.0, 0.0, 0.0, 1.0))
+    assert shift == 0.0
     for g, r in zip(got, ref):
         assert abs(g - r) <= 1e-15 * max(abs(r), 1e-300)
+
+
+@pytest.mark.parametrize("c", [1.0e6, 2.0e6 + 3.0e5j])
+def test_constant_transfer_rescales_past_double_range(c):
+    # Re(s h) > 700: the transfer comes scaled by e^(-Re(s h)), so the ratios
+    # sinh/cosh = tanh(s h)/s and c sinh/cosh = s tanh(s h) keep their values
+    h = 0.9
+    s = np.sqrt(complex(c))
+    (ch, csh, sh, ch2), shift = hainlust._constant_transfer(c, h, (1.0, 0.0, 0.0, 1.0))
+    assert shift == (s * h).real > hainlust.RESCALE_EXPONENT
+    assert ch == ch2 and abs(abs(ch) - 0.5) <= 1e-15
+    assert abs(sh / ch - 1.0 / s) <= 1e-15 / abs(s)
+    assert abs(csh / ch - s) <= 1e-15 * abs(s)
 
 
 def test_constant_pieces_never_call_the_integrator(monkeypatch):
@@ -228,17 +241,22 @@ def test_constant_pieces_never_call_the_integrator(monkeypatch):
         shoot(generic_model(), 1.5 + 0.5j)
 
 
-def test_shoot_overflow_raises_tolerance_not_met():
+def test_shoot_past_double_range_keeps_m11():
+    # m11 = -1/(s tanh s) with s = sqrt(-lam); at lam = -4e5 the transfer stays
+    # inside double range, at -1e6 (s = 1000 > 700) it is carried at scale e^-1000
     model = free_model(u_value=5.0)
-    with pytest.raises(ToleranceNotMetError):
-        shoot(model, -1e6)
-    # still inside double range: m11 = -1/(s tanh s) with s = sqrt(-lam)
-    lam = -4e5
-    res = shoot(model, lam)
-    assert all(np.isfinite(v) for v in (res.y1_at_1, res.dy1_at_1, res.y2_at_1, res.dy2_at_1))
-    s = np.sqrt(-lam)
-    ref = -1.0 / (s * np.tanh(s))
-    assert abs(m_matrix(model, lam)[0, 0] - ref) <= 1e-12 * abs(ref)
+    for lam, log_scale in ((-4e5, 0.0), (-1e6, 1000.0)):
+        res = shoot(model, lam)
+        assert res.log_scale == log_scale
+        assert all(np.isfinite(v) for v in (res.y1_at_1, res.dy1_at_1, res.y2_at_1, res.dy2_at_1))
+        s = np.sqrt(-lam)
+        ref = -1.0 / (s * np.tanh(s))
+        m = m_matrix(model, lam)
+        assert abs(m[0, 0] - ref) <= 1e-12 * abs(ref)
+    # m12 = sin(alpha) / den with |den| near e^1000 s / 2 underflows to 0
+    assert m[0, 1] == m[1, 0] == 0.0
+    rows = scan_rows(model, [-1e6], [1.0], 32)
+    assert rows[0][2] == m_matrix(model, -1e6 + 1j)[0, 0].real and rows[0][10] == np.inf
 
 
 # ---------------------------------------------------------------- M-matrix
