@@ -9,7 +9,14 @@ c_f = lim x f(x), two boundary functionals and a scalar M-function
 with D(lam) = 1 + integral of psi conj(phi)/(x - lam).  Everything here is
 computed exactly by residue calculus on functions kept in pole-coefficient
 form f = sum c_{k,j} / (x - a_k)^j, so the package-level quadrature serves
-as an independent cross-check rather than the primary route.
+as an independent cross-check rather than the primary route.  The Cauchy
+integrals D, I_psi and I_phi close in the half plane away from lam:
+
+    integral of f(x)/(x - lam) = 2 pi i f_-(lam)   (Im lam > 0),
+                               = -2 pi i f_+(lam)  (Im lam < 0),
+
+f_- (f_+) the terms of f with poles below (above) the axis.  One elementwise
+array formula serves a single point and a whole scan grid alike.
 
 Convention: a rational function belongs to the Hardy class of the upper
 half plane exactly when all of its poles lie in the lower half plane.
@@ -264,50 +271,74 @@ def evaluation_grid():
 # ----------------------------------------------------------------- operations
 
 
-def _check_lambda(lam: complex, f_conj_poles=()):
-    if abs(lam.imag) <= _REAL_AXIS_TOL:
-        raise RealLambdaError(f"lambda={lam} lies on the real axis")
-    for p in f_conj_poles:
-        if abs(lam - p) <= 1e-10 * max(1.0, abs(p)):
-            raise PoleCollisionError(f"lambda={lam} collides with pole {p}")
+def _check_lambda(lams, poles=(), checked=True):
+    """Raise at the first point of the array lams on the real axis or, where checked, within
+    1e-10 of one of poles."""
+    near = np.abs(lams[:, None] - np.array(poles, dtype=complex)) <= [
+        1e-10 * max(1.0, abs(p)) for p in poles]
+    bad = (np.abs(lams.imag) <= _REAL_AXIS_TOL) | (checked & near.any(axis=1))
+    if bad.any():
+        k = np.argmax(bad)
+        lam = complex(lams[k])
+        if abs(lam.imag) <= _REAL_AXIS_TOL:
+            raise RealLambdaError(f"lambda={lam} lies on the real axis")
+        raise PoleCollisionError(f"lambda={lam} collides with pole {poles[np.argmax(near[k])]}")
 
 
-def _cauchy(ps: PoleSum, lam: complex) -> complex:
-    """Integral of ps(x) / (x - lam) over the line, by residues (no lam check)."""
-    return (ps * PoleSum.single(lam)).line_integral()
+def _cauchy(ps: PoleSum, lam, upper: bool):
+    """Integral of ps(x) / (x - lam) over the line, elementwise on an array lam in one half plane.
+
+    Closing the contour in the other half plane leaves the residues there:
+    2 pi i ps_-(lam) above the axis and -2 pi i ps_+(lam) below it, with ps_-
+    (ps_+) the terms of ps whose poles lie below (above) the axis.  Terms with
+    poles on lam's side do not enter, so nothing cancels next to them.
+    """
+    total = np.zeros_like(lam)
+    for (a, order), c in ps.terms.items():
+        if (a.imag < 0) == upper:
+            total = total + c / (lam - a) ** order
+    return (2j * np.pi if upper else -2j * np.pi) * total
 
 
 def cauchy_transform(f: RationalH2, lam: complex) -> complex:
     """<(x-lam)^{-1}, f> = integral of conj(f(x)) / (x - lam) dx, by residues."""
-    lam = complex(lam)
+    lams = np.array([lam], dtype=complex)
     conj_f = f.as_polesum().conjugate()
-    _check_lambda(lam, conj_f.poles())
-    return _cauchy(conj_f, lam)
-
-
-def _determinant(model: FriedrichsModel, lam: complex) -> complex:
-    """D(lam) from the model's pole sums; checks only that lam is nonreal."""
-    _check_lambda(lam)
-    return 1.0 + _cauchy(model._sums[2], lam)
+    _check_lambda(lams, conj_f.poles())
+    return complex(_cauchy(conj_f, lams, lams.imag[0] > 0)[0])
 
 
 def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
     """D(lam) = 1 + integral of psi(x) conj(phi(x)) / (x - lam) dx."""
-    return _determinant(model, complex(lam))
+    lams = np.array([lam], dtype=complex)
+    _check_lambda(lams)
+    return complex(1.0 + _cauchy(model._sums[2], lams, lams.imag[0] > 0)[0])
 
 
-def _det_and_bracket(model: FriedrichsModel, lam: complex):
-    """(D, bracket) with M = 1 / bracket; bracket is None when |D| < 1e-12.
+def _det_and_bracket(model: FriedrichsModel, lams):
+    """(D, bracket) at an array of points, M = 1 / bracket; bracket is NaN where |D| < 1e-12.
 
-    bracket = sign(Im lam) pi i + I_psi I_phi / D - B; the pole checks follow the test on D.
+    bracket = sign(Im lam) pi i + I_psi I_phi / D - B.  Raises at the first
+    point in array order that lies on the real axis or, where |D| >= 1e-12,
+    within 1e-10 of a pole of psi or conj(phi).  Each point gets the bits of
+    a call with that point alone: the arithmetic is elementwise.
     """
-    det = _determinant(model, lam)
-    if abs(det) < 1e-12:
-        return det, None
-    psi, conj_phi, _, poles = model._sums
-    _check_lambda(lam, poles)
-    i_psi, i_phi = _cauchy(psi, lam), _cauchy(conj_phi, lam)
-    return det, np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - complex(model.bparam)
+    psi, conj_phi, psi_conj_phi, poles = model._sums
+    det = np.full(lams.shape, np.nan, dtype=complex)
+    bracket = det.copy()
+    for upper in (True, False):
+        side = lams.imag > _REAL_AXIS_TOL if upper else lams.imag < -_REAL_AXIS_TOL
+        if not side.any():
+            continue
+        lam = lams[side]
+        d = 1.0 + _cauchy(psi_conj_phi, lam, upper)
+        keep = ~(np.abs(d) < 1e-12)
+        quot = _cauchy(psi, lam, upper) * _cauchy(conj_phi, lam, upper) / np.where(keep, d, 1.0)
+        det[side] = d
+        bracket[side] = np.where(keep, (1j if upper else -1j) * np.pi + quot
+                                 - complex(model.bparam), np.nan)
+    _check_lambda(lams, poles, ~(np.abs(det) < 1e-12))
+    return det, bracket
 
 
 def m_value(model: FriedrichsModel, lam: complex) -> complex:
@@ -317,12 +348,12 @@ def m_value(model: FriedrichsModel, lam: complex) -> complex:
     when lam is a pole of M (m_scan records both as NaN rows instead).
     """
     lam = complex(lam)
-    det, bracket = _det_and_bracket(model, lam)
-    if bracket is None:
+    det, bracket = _det_and_bracket(model, np.array([lam]))
+    if np.abs(det)[0] < 1e-12:  # the test that leaves bracket NaN
         raise DZeroError(f"determinant vanishes at lam={lam}")
-    if abs(bracket) < 1e-12:
+    if abs(bracket[0]) < 1e-12:
         raise BracketZeroError(f"M-function pole at lam={lam}")
-    return 1.0 / bracket
+    return (1.0 / bracket)[0]
 
 
 def tail_coefficient(f: RationalH2) -> complex:
@@ -543,179 +574,23 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
     }
 
 
-# ------------------------------------------------------------ whole-grid scan
-#
-# m_scan forms D, I_psi, I_phi and the bracket at every grid point at once,
-# on float64 (real, imag) array pairs, replaying the operations of the
-# pointwise route in their order.  Each operation follows the formula that
-# its scalar operands' types select: Python complex division is CPython's
-# _Py_c_quot, a division with an np.complex128 operand is numpy's (a product
-# with the reciprocal of the denominator), and a power of an np.complex128
-# returns exponents 1 to 3 unrolled.  PoleSum.conjugate makes conj(phi), psi
-# conj(phi) and whatever they enter numpy scalars.
-
-
-def _c_mul(a, b):
-    """Product of (re, im) pairs in the operation order of CPython's and numpy's."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _c_pow(x, n, numpy):
-    """x ** n for an int n >= 1: CPython's binary exponentiation, or numpy's power."""
-    if numpy and n == 1:
-        return x
-    if numpy and n <= 3:  # numpy unrolls x * x and x * (x * x)
-        return _c_mul(x, x) if n == 2 else _c_mul(x, _c_mul(x, x))
-    out = (1.0, 0.0)
-    while True:
-        if n & 1:
-            out = _c_mul(out, x)
-        n >>= 1
-        if not n:
-            return out
-        x = _c_mul(x, x)
-
-
-def _c_quot(a, b, numpy):
-    """a / b as CPython's _Py_c_quot or, when numpy, as numpy's complex division."""
-    (ar, ai), (br, bi) = a, b
-    wide = np.abs(br) >= np.abs(bi)
-    ratio = np.where(wide, bi / br, br / bi)
-    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-    re = np.where(wide, ar + ai * ratio, ar * ratio + ai)
-    im = np.where(wide, ai - ar * ratio, ai * ratio - ar)
-    if numpy:
-        scale = 1.0 / denom
-        return re * scale, im * scale
-    return re / denom, im / denom
-
-
-def _finite(*pairs):
-    return np.logical_and.reduce([np.isfinite(part) for pair in pairs for part in pair])
-
-
-def _cauchy_plan(ps: PoleSum):
-    """The lam-independent part of _cauchy(ps, lam) as PoleSum.__mul__ and _add_term take it.
-
-    Returns (keys, steps).  keys lists the (pole, order) keys of the product
-    in insertion order, pole None standing for lam.  Each step adds
-    num / (a - lam)^e (flip false) or num / (lam - a)^e (flip true) to a key;
-    num is the scalar numerator, so its type is the scalar route's.
-    """
-    keys, steps = [], []
-
-    def key_index(pole, order):
-        for k, (p, o) in enumerate(keys):  # the merge loop of _add_term
-            if p is not None and o == order and abs(p - pole) <= _MERGE_TOL * max(1.0, abs(p)):
-                return k
-        keys.append((pole, order))
-        return len(keys) - 1
-
-    for (a, p), c1 in ps.terms.items():
-        c = c1 * (1.0 + 0.0j)  # times the coefficient of PoleSum.single(lam)
-        for i in range(1, p + 1):
-            steps.append((key_index(a, i), c * (-1) ** (p - i) * comb(p - i, p - i), a, p + 1 - i,
-                          False))
-        if (None, 1) not in keys:
-            keys.append((None, 1))
-        steps.append((keys.index((None, 1)), c * (-1) ** 0 * comb(p - 1, 0), a, p, True))
-    return keys, steps
-
-
-def _cauchy_grid(ps: PoleSum, lam, upper: bool):
-    """_cauchy(ps, lam) over a pair of arrays lam in one half plane.
-
-    Returns (value, numpy, usable): the (re, im) arrays, whether the scalar
-    route returns an np.complex128 there, and where it takes the branches
-    replayed here: no coefficient is 0, no key is removed, the tail check
-    passes and every value is finite (a complex power that overflows raises).
-    """
-    keys, steps = _cauchy_plan(ps)
-    zero = (np.zeros_like(lam[0]), np.zeros_like(lam[0]))  # the 0j that sums start from
-    vals, kinds = [zero] * len(keys), [False] * len(keys)
-    usable = np.ones(lam[0].shape, dtype=bool)
-    for k, num, a, e, flip in steps:
-        base = (lam[0] - a.real, lam[1] - a.imag) if flip else (a.real - lam[0], a.imag - lam[1])
-        numpy_pow = isinstance(a, np.generic)
-        power = _c_pow(base, e, numpy_pow)
-        numpy = numpy_pow or isinstance(num, np.generic)
-        coef = _c_quot((num.real, num.imag), power, numpy)
-        vals[k] = (vals[k][0] + coef[0], vals[k][1] + coef[1])
-        kinds[k] = kinds[k] or numpy
-        usable &= _finite(power, coef) & ((coef[0] != 0) | (coef[1] != 0))
-        usable &= np.hypot(*vals[k]) >= 2e-250  # margin on the removal test at 1e-250
-    tail, total, kind, scale = zero, zero, False, 0.0
-    for (pole, order), v, numpy in zip(keys, vals, kinds):
-        scale = np.maximum(scale, np.hypot(*v))
-        if order != 1:
-            continue
-        tail = (tail[0] + v[0], tail[1] + v[1])
-        if (upper if pole is None else pole.imag > 0):
-            total, kind = (total[0] + v[0], total[1] + v[1]), kind or numpy
-    usable &= np.hypot(*tail) <= 0.5e-10 * np.maximum(scale, 1.0)  # margin on the tail check
-    two_pi_i = 2j * np.pi
-    return _c_mul((two_pi_i.real, two_pi_i.imag), total), kind, usable
-
-
-def _grid_det_and_bracket(model: FriedrichsModel, lams, upper: bool):
-    """(D, bracket) lists over points lams in one half plane, D None where not served.
-
-    Values are those of _det_and_bracket, types included, wherever lam is
-    off the real axis and clear of every pole and the replayed branches hold.
-    """
-    lam = (np.array([z.real for z in lams]), np.array([z.imag for z in lams]))
-    psi, conj_phi, psi_conj_phi, poles = model._sums
-    usable = np.abs(lam[1]) > _REAL_AXIS_TOL
-    size = np.hypot(*lam)
-    for p in poles:  # 2x the pole-check and merge tolerances, so ulps cannot decide
-        reach = max(1.0, abs(p))
-        tol = np.maximum(1e-10 * reach, _MERGE_TOL * np.maximum(reach, size))
-        usable &= np.hypot(lam[0] - p.real, lam[1] - p.imag) > 2.0 * tol
-    i_d, det_numpy, ok_d = _cauchy_grid(psi_conj_phi, lam, upper)
-    i_psi, psi_numpy, ok_psi = _cauchy_grid(psi, lam, upper)
-    i_phi, phi_numpy, ok_phi = _cauchy_grid(conj_phi, lam, upper)
-    det = (1.0 + i_d[0], 0.0 + i_d[1])
-    quot = _c_quot(_c_mul(i_psi, i_phi), det, det_numpy or psi_numpy or phi_numpy)
-    sign_term = np.sign(1.0 if upper else -1.0) * 1j * np.pi
-    b = complex(model.bparam)
-    bracket = ((sign_term.real + quot[0]) - b.real, (sign_term.imag + quot[1]) - b.imag)
-    usable &= ok_d & ok_psi & ok_phi & _finite(det, bracket)
-    det_arr, bracket_arr = np.empty(len(lams), complex), np.empty(len(lams), complex)
-    det_arr.real, det_arr.imag = det
-    bracket_arr.real, bracket_arr.imag = bracket
-    dets = list(det_arr) if det_numpy else det_arr.tolist()
-    return [d if ok else None for d, ok in zip(dets, usable)], list(bracket_arr)
+# ----------------------------------------------------------------------- scan
 
 
 def m_scan(model: FriedrichsModel, re_points, eps_values):
     """Rows (re, im, Re M, Im M, |D|, |bracket|) over a grid straddling the axis.
 
     Pole points of M are recorded with NaN values rather than raised.  The
-    whole grid is evaluated at once, bit-identical to _det_and_bracket at
-    every point; points where that route branches (near a pole or the real
-    axis, |D| or |bracket| below 1e-12, a pole-sum term dropped or removed,
-    a tail check near failing, a value not finite) take _det_and_bracket
-    itself, in grid order, so errors surface at the same first point.
+    whole grid goes through _det_and_bracket at once, so errors surface at
+    the first offending point in grid order.
     """
-    lams = [lam for x0 in re_points for eps in eps_values
-            for lam in (complex(x0, eps), complex(x0, -eps))]
-    dets, brackets = [None] * len(lams), [None] * len(lams)
-    with np.errstate(all="ignore"):  # points that fall back may overflow or divide by 0
-        for upper in (True, False):
-            idx = [k for k, lam in enumerate(lams) if (lam.imag > 0) == upper]
-            got = _grid_det_and_bracket(model, [lams[k] for k in idx], upper)
-            for k, det, bracket in zip(idx, *got):
-                dets[k], brackets[k] = det, bracket
-    rows = []
-    for lam, det, bracket in zip(lams, dets, brackets):
-        if det is None or abs(det) < 1e-12 or abs(bracket) < 1e-12:
-            det, bracket = _det_and_bracket(model, lam)
-        if bracket is None:
-            rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
-            continue
-        if abs(bracket) < 1e-12:
-            rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), abs(bracket)))
-            continue
-        m = 1.0 / bracket
-        rows.append((lam.real, lam.imag, m.real, m.imag, abs(det), abs(bracket)))
-    return rows
+    lams = np.array([lam for x0 in re_points for eps in eps_values
+                     for lam in (complex(x0, eps), complex(x0, -eps))], dtype=complex)
+    det, bracket = _det_and_bracket(model, lams)
+    # abs() (hypot), the modulus m_value tests; numpy's vectorised one can differ in the last bit
+    abs_det = [abs(d) for d in det.tolist()]
+    abs_bracket = np.array([abs(b) for b in bracket.tolist()])
+    m = np.divide(1.0, bracket, out=np.full_like(bracket, complex(np.nan, np.nan)),
+                  where=abs_bracket >= 1e-12)
+    return list(zip(lams.real.tolist(), lams.imag.tolist(), m.real.tolist(), m.imag.tolist(),
+                    abs_det, abs_bracket.tolist()))

@@ -519,10 +519,10 @@ def direct_sum_hidden(tr: FiniteTriple, hidden) -> FiniteTriple:
     at common resolvent points.
     """
     hidden = np.asarray(hidden, dtype=complex)
-    if hidden.size == 0:
+    if hidden.shape in ((0,), (0, 0)):
         return tr
     if hidden.ndim != 2 or hidden.shape[0] != hidden.shape[1]:
-        raise ValueError("hidden block must be square")
+        raise ValueError(f"hidden block must be square, got shape {hidden.shape}")
     p = hidden.shape[0]
     m, h, k = tr.state_dim, tr.h, tr.k
 

@@ -192,6 +192,8 @@ def _drop(data, key):
     ("example", lambda m: {"example": "ex3", "B": NAN}),
     ("example", lambda m: {"example": "ex2-lower", "lam0": [0.0, NAN]}),
     ("contour", lambda m: {"hidden": [[[NAN, 0.0]]]}),
+    # a 1x0 block was taken for no block and dropped
+    ("contour", lambda m: {"hidden": [[]]}),
     ("scan", lambda m: {"model": {"type": "friedrichs",
                                   "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[NAN, 0.0]]}},
@@ -241,9 +243,9 @@ def _drop(data, key):
         "friedrichs-pole-extra-key", "friedrichs-misspelt-b", "firstorder-re-nan",
         "firstorder-rhs-decay-inf", "friedrichs-eps-inf", "hainlust-re-minus-inf",
         "hainlust-re-count-inf", "hainlust-eps-nan", "ex1-b-nan", "ex3-b-nan",
-        "ex2-lam0-nan", "contour-hidden-nan", "friedrichs-residue-nan", "seed-negative",
-        "seed-fraction", "re-count-fraction", "firstorder-n-fraction", "re-count-zero",
-        "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
+        "ex2-lam0-nan", "contour-hidden-nan", "contour-hidden-1x0", "friedrichs-residue-nan",
+        "seed-negative", "seed-fraction", "re-count-fraction", "firstorder-n-fraction",
+        "re-count-zero", "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
         "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty",
         "eig-hainlust-empty-piece", "scan-hainlust-empty-piece", "scan-hainlust-u-short",
         "eig-region-re-decreasing", "eig-region-im-flat", "eig-region-im-decreasing"])

@@ -159,6 +159,46 @@ def test_cauchy_analytic_in_half_plane():
     assert abs(total) < 1e-9
 
 
+NEAR_POLE = 0.3 + 0.5j
+NEAR_PSI = RationalH2(poles=(NEAR_POLE, -0.4 - 0.8j), residues=(1.0, 0.6 - 0.2j), orders=(2, 1))
+NEAR_MODEL = FriedrichsModel(phi=RationalH2(poles=(0.5 - 1j, -0.2 + 1.5j),
+                                            residues=(0.8 + 0.1j, -0.3 + 0.4j)),
+                             psi=NEAR_PSI, bparam=0.2 - 0.1j)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_cauchy_and_m_value_next_to_a_pole_on_lambdas_side(delta):
+    # lam lies delta from the order-2 pole of psi, on its side of the axis, where the
+    # partial fractions of psi / (x - lam) cancel to about 1/delta^2 of their size
+    lam = NEAR_POLE + delta * np.exp(0.7j)
+    psi, conj_phi = NEAR_MODEL.psi, lambda x: np.conj(NEAR_MODEL.phi(x))
+    i_psi = real_line_quadrature(lambda x: psi(x) / (x - lam), 2)
+    i_phi = real_line_quadrature(lambda x: conj_phi(x) / (x - lam), 2)
+    det = 1.0 + real_line_quadrature(lambda x: psi(x) * conj_phi(x) / (x - lam), 2)
+    m = 1.0 / (1j * np.pi + i_psi * i_phi / det - NEAR_MODEL.bparam)
+    conj_psi = RationalH2(poles=tuple(np.conj(NEAR_PSI.poles)),
+                          residues=tuple(np.conj(NEAR_PSI.residues)), orders=NEAR_PSI.orders)
+    assert abs(cauchy_transform(conj_psi, lam) - i_psi) <= 1e-12 * abs(i_psi)
+    assert abs(perturbation_determinant(NEAR_MODEL, lam) - det) <= 1e-12 * abs(det)
+    assert abs(m_value(NEAR_MODEL, lam) - m) <= 1e-12 * abs(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cauchy_matches_the_pole_sum_product_away_from_poles(seed):
+    # the product with 1/(x - lam) and its residue closure, the route the closed form
+    # replaces, agree with it at least 0.2 from every pole
+    model = _seeded_model(seed, phi_orders=(3, 1), psi_orders=(2, 3))
+    rng = np.random.default_rng(seed)
+    poles = model._sums[3]
+    lams = [lam for lam in rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+            if min(abs(lam - p) for p in poles) >= 0.2 and abs(lam.imag) >= 0.2]
+    for ps in model._sums[:3]:
+        for lam in lams:
+            expect = (ps * PoleSum.single(lam)).line_integral()
+            got = friedrichs._cauchy(ps, np.array([lam]), lam.imag > 0)[0]
+            assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
 # ---------------------------------------------------------------- determinant
 
 
@@ -243,10 +283,22 @@ def _determinant_zero_model(rng, lam0):
     return FriedrichsModel(phi=phi, psi=psi, bparam=complex(*rng.uniform(-0.5, 0.5, 2)))
 
 
+def _determinant_zero_at_psi_pole():
+    """psi = 1/(x + i) and phi scaled so that D vanishes at the pole -i of psi."""
+    psi = simple(-1j)
+    d0 = perturbation_determinant(FriedrichsModel(phi=simple(-2j), psi=psi), -1j) - 1.0
+    return FriedrichsModel(phi=simple(-2j, np.conj(-1.0 / d0)), psi=psi)
+
+
 def test_m_value_raises_where_the_determinant_vanishes():
     model = _determinant_zero_model(np.random.default_rng(7), -0.5j)
     with pytest.raises(DZeroError, match="determinant vanishes"):
         m_value(model, -0.5j)
+
+
+def test_m_value_skips_the_pole_check_where_the_determinant_vanishes():
+    with pytest.raises(DZeroError, match="determinant vanishes"):
+        m_value(_determinant_zero_at_psi_pole(), -1j)
 
 
 def _pointwise_rows(model, re_points, eps_values):
@@ -256,14 +308,21 @@ def _pointwise_rows(model, re_points, eps_values):
     for x0 in re_points:
         for eps in eps_values:
             for lam in (complex(x0, eps), complex(x0, -eps)):
-                det, bracket = _det_and_bracket(dataclasses.replace(model), lam)
-                if bracket is None:
-                    rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), np.nan))
-                elif abs(bracket) < 1e-12:
-                    rows.append((lam.real, lam.imag, np.nan, np.nan, abs(det), abs(bracket)))
+                det, bracket = _det_and_bracket(dataclasses.replace(model), np.array([lam]))
+                d, b = abs(complex(det[0])), abs(complex(bracket[0]))
+                if np.isnan(b) or b < 1e-12:
+                    rows.append((lam.real, lam.imag, np.nan, np.nan, d, b))
                 else:
-                    m = 1.0 / bracket
-                    rows.append((lam.real, lam.imag, m.real, m.imag, abs(det), abs(bracket)))
+                    m = (1.0 / bracket)[0]
+                    rows.append((lam.real, lam.imag, float(m.real), float(m.imag), d, b))
+    return rows
+
+
+def _scan_matches_pointwise(model, re_points, eps_values):
+    """m_scan's rows, after checking them repr-equal (types included) to _pointwise_rows."""
+    expected = _pointwise_rows(model, re_points, eps_values)
+    rows = m_scan(model, re_points, eps_values)
+    assert repr(rows) == repr(expected)
     return rows
 
 
@@ -277,30 +336,8 @@ def test_m_scan_matches_pointwise_evaluation(polesum_mul_calls):
     assert repr(rows) == repr(expected)
     pole_rows = [r for r in rows if np.isnan(r[2])]
     assert len(pole_rows) == 1 and pole_rows[0][:2] == (0.0, -0.5)
-    # psi conj(phi) is formed once per scan; the grid takes no product, and the
-    # zero of D falls back to _det_and_bracket, which forms the determinant's
-    assert len(polesum_mul_calls) == 1 + 1
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The points at which m_scan falls back to _det_and_bracket while the test runs."""
-    points = []
-
-    def recording(model, lam):
-        points.append(lam)
-        return _det_and_bracket(model, lam)
-
-    monkeypatch.setattr(friedrichs, "_det_and_bracket", recording)
-    return points
-
-
-def _scan_matches_pointwise(model, re_points, eps_values):
-    """m_scan's rows, after checking them repr-equal (types included) to _pointwise_rows."""
-    expected = _pointwise_rows(model, re_points, eps_values)
-    rows = m_scan(model, re_points, eps_values)
-    assert repr(rows) == repr(expected)
-    return rows
+    # psi conj(phi) is formed once per scan; the Cauchy integrals take no product
+    assert len(polesum_mul_calls) == 1
 
 
 def _seeded_model(seed, phi_orders=(2, 1), psi_orders=(1, 2)):
@@ -317,17 +354,15 @@ def _seeded_model(seed, phi_orders=(2, 1), psi_orders=(1, 2)):
 
 
 @pytest.mark.parametrize("seed", range(401, 431))
-def test_m_scan_matches_pointwise_on_seeded_models(seed, fallbacks):
+def test_m_scan_matches_pointwise_on_seeded_models(seed):
     # 21 real parts hold 0.0; eps as in the benchmark, down to 1e-3
     _scan_matches_pointwise(_seeded_model(seed), np.linspace(-3.0, 3.0, 21), [0.3, 0.1, 1e-3])
-    assert fallbacks == []
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_m_scan_matches_pointwise_with_order_three_poles(seed, fallbacks):
+def test_m_scan_matches_pointwise_with_order_three_poles(seed):
     model = _seeded_model(seed, phi_orders=(3, 1), psi_orders=(2, 3))
     _scan_matches_pointwise(model, np.linspace(-3.0, 3.0, 21), [0.5, 1e-2])
-    assert fallbacks == []
 
 
 def test_m_scan_matches_pointwise_on_signed_zero_real_parts():
@@ -338,14 +373,11 @@ def test_m_scan_matches_pointwise_on_signed_zero_real_parts():
     _scan_matches_pointwise(FriedrichsModel(phi=phi, psi=psi), [0.0, -0.0, 1.0], [1.5, -1.5, 0.5])
 
 
-def test_m_scan_matches_pointwise_where_psi_poles_merge(fallbacks):
-    # the order-2 pole of psi lies within the merge tolerance of its order-1 pole,
-    # so every product merges their order-1 terms, which enter the upper-half-plane
-    # sum ahead of lam's; no point needs to fall back
+def test_m_scan_matches_pointwise_where_psi_poles_merge():
+    # the order-2 pole of psi lies within the merge tolerance of its order-1 pole
     psi = RationalH2(poles=(1j, 1j * (1 + 1e-15)), residues=(1.0, 0.5), orders=(1, 2))
     model = FriedrichsModel(phi=simple(-0.5 + 2j, 0.4), psi=psi)
     _scan_matches_pointwise(model, np.linspace(-1.0, 1.0, 7), [0.5, 0.1])
-    assert fallbacks == []
 
 
 def test_m_scan_matches_pointwise_on_empty_pole_sums():
@@ -354,55 +386,37 @@ def test_m_scan_matches_pointwise_on_empty_pole_sums():
                                 [0.5, 0.1])
 
 
-def test_m_scan_falls_back_where_the_determinant_vanishes(fallbacks):
-    model = _determinant_zero_model(np.random.default_rng(7), -0.5j)
-    rows = _scan_matches_pointwise(model, [-0.5, 0.0], [0.5])
-    assert fallbacks == [-0.5j]
-    assert np.isnan(rows[3][2]) and np.isnan(rows[3][5])
+@pytest.mark.parametrize("model, re_points, eps_values, pole_rows", [
+    # D vanishes at -0.5i, the fourth point
+    (_determinant_zero_model(np.random.default_rng(7), -0.5j), [-0.5, 0.0], [0.5], [3]),
+    # D vanishes at the pole -i of psi, the second point, which is then not a collision
+    (_determinant_zero_at_psi_pole(), [0.0], [1.0], [1]),
+    # B = pi i: the bracket vanishes at every point above the axis
+    (hardy_model(b=np.pi * 1j), [0.0, 1.0], [1e-2], [0, 2]),
+    # 1.5e-10 from the pole -i of psi passes the pole check at 1e-10
+    (FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7)), [1.5e-10, 3e-10], [1.0], []),
+    # lam = 1e60 +- i against a 1e-200 term of psi
+    (FriedrichsModel(phi=simple(-0.5 + 1j, 0.4),
+                     psi=RationalH2(poles=(-1j, 2 - 1j), residues=(1.0, 1e-200))),
+     [0.5, 1e60], [1.0], []),
+    # lam = 1e100 +- i against the order-3 term of psi conj(phi), which underflows to 0
+    (FriedrichsModel(phi=simple(1j, 0.4), psi=simple(-1j, 1e-140, order=2)),
+     [0.5, 1e100], [1.0], []),
+], ids=["det-zero", "det-zero-at-psi-pole", "bracket-zero", "near-pole", "lambda-1e60", "lambda-1e100"])
+def test_m_scan_matches_pointwise_at_edge_points(model, re_points, eps_values, pole_rows):
+    rows = _scan_matches_pointwise(model, re_points, eps_values)
+    assert [k for k, row in enumerate(rows) if np.isnan(row[2])] == pole_rows
 
 
-def test_m_scan_falls_back_where_the_bracket_vanishes(fallbacks):
-    rows = _scan_matches_pointwise(hardy_model(b=np.pi * 1j), [0.0, 1.0], [1e-2])
-    assert fallbacks == [0.01j, 1 + 0.01j]
-    assert [np.isnan(r[2]) for r in rows] == [True, False, True, False]
-
-
-def test_m_scan_falls_back_near_a_pole(fallbacks):
-    # 1.5e-10 from the pole -i of psi passes the pole check at 1e-10 but lies
-    # inside the 2e-10 margin of the grid route; 3e-10 lies outside it
-    model = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7))
-    _scan_matches_pointwise(model, [1.5e-10, 3e-10], [1.0])
-    assert fallbacks == [1.5e-10 - 1j]
-
-
-def test_m_scan_falls_back_where_a_pole_sum_term_is_removed(fallbacks):
-    # at lam = 1e60 +- i the 1e-200 term of psi gives coefficients below 1e-250,
-    # which _add_term removes
-    psi = RationalH2(poles=(-1j, 2 - 1j), residues=(1.0, 1e-200))
-    model = FriedrichsModel(phi=simple(-0.5 + 1j, 0.4), psi=psi)
-    _scan_matches_pointwise(model, [0.5, 1e60], [1.0])
-    assert fallbacks == [1e60 + 1j, 1e60 - 1j]
-
-
-def test_m_scan_falls_back_where_a_coefficient_underflows_to_zero(fallbacks):
-    # conj(phi) shares the pole -i of psi, so psi conj(phi) is one order-3 term;
-    # at lam = 1e100 +- i its coefficients over (x +- lam)^2 and ^3 underflow to 0,
-    # which _add_term drops, while no kept coefficient falls below 1e-250
-    model = FriedrichsModel(phi=simple(1j, 0.4), psi=simple(-1j, 1e-140, order=2))
-    _scan_matches_pointwise(model, [0.5, 1e100], [1.0])
-    assert fallbacks == [1e100 + 1j, 1e100 - 1j]
-
-
-def test_m_scan_raises_on_real_lambda(fallbacks):
+def test_m_scan_raises_on_real_lambda():
     with pytest.raises(RealLambdaError) as pointwise:
         _pointwise_rows(hardy_model(), [0.0, 1.0], [0.1, 0.0])
     with pytest.raises(RealLambdaError, match="lambda=0j lies") as scan:
         m_scan(hardy_model(), [0.0, 1.0], [0.1, 0.0])
     assert str(scan.value) == str(pointwise.value)
-    assert fallbacks == [0j]
 
 
-def test_m_scan_raises_on_psi_pole(fallbacks):
+def test_m_scan_raises_on_psi_pole():
     # the second point, -i, is the pole of psi; conj(phi) has its pole at 2i
     model = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7 + 0.3j))
     with pytest.raises(PoleCollisionError) as pointwise:
@@ -410,7 +424,6 @@ def test_m_scan_raises_on_psi_pole(fallbacks):
     with pytest.raises(PoleCollisionError, match=r"lambda=-1j collides with pole \(-0-1j\)") as scan:
         m_scan(model, [0.0, 1.0], [1.0])
     assert str(scan.value) == str(pointwise.value)
-    assert fallbacks == [-1j]
 
 
 def test_m_scan_non_hardy_jump_converges():
