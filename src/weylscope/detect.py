@@ -77,9 +77,12 @@ def _check_samples(ext: Extension, points, what: str):
 def _sample_stream(ext: Extension):
     """(anchor, endless iterator of sample points) for the restriction.
 
-    Points alternate between two circles enclosing the spectrum at
-    golden-angle steps, which keeps added points from aliasing; a point
-    close to an eigenvalue is nudged along its circle.
+    Points alternate between two circles about the mean of the spectrum at
+    golden-angle steps, which keeps added points from aliasing.  The radii
+    are spread + 1 and twice that, spread the largest distance of an
+    eigenvalue from the mean, and the anchor lies 1.37 times the outer
+    radius above the mean: the anchor and every point keep distance at
+    least 1 from the spectrum.
     """
     eigs = extension_eigenvalues(ext)
     if eigs.size:
@@ -89,20 +92,11 @@ def _sample_stream(ext: Extension):
         center, spread = 0.0, 0.0
     radii = (spread + 1.0, 2.0 * (spread + 1.0))
     anchor = complex(center + 1.37j * radii[1])
-    if spectrum_distance(ext, anchor) <= 10 * SPECTRUM_CLEARANCE:
-        anchor = complex(center + 1.61j * radii[1])
 
     def points():
         for j in itertools.count():
-            r = radii[j % 2]
             ang = GOLDEN_ANGLE * j
-            z = center + r * np.exp(1j * ang)
-            bump = 0
-            while spectrum_distance(ext, z) <= 10 * SPECTRUM_CLEARANCE and bump < 50:
-                ang += 1e-3
-                z = center + r * np.exp(1j * ang)
-                bump += 1
-            yield complex(z)
+            yield complex(center + radii[j % 2] * np.exp(1j * ang))
 
     return anchor, points()
 

@@ -69,10 +69,6 @@ class RealLambdaError(WeylScopeError):
     """Cauchy-type transform requested on the real axis."""
 
 
-class PoleCollisionError(WeylScopeError):
-    """Spectral parameter collides with a pole of the integrand."""
-
-
 class DZeroError(WeylScopeError):
     """Perturbation determinant vanishes at the requested point."""
 

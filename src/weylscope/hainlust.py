@@ -171,9 +171,7 @@ def essential_range(poly: PiecewisePoly, restrict_to=((0.0, 1.0),)):
 
 
 def interval_set_distance(lam: complex, intervals) -> float:
-    """Distance from a complex point to a union of real closed intervals."""
-    if not intervals:
-        return np.inf
+    """Distance from a complex point to a union of real closed intervals (inf for none)."""
     best = np.inf
     for lo, hi in intervals:
         dx = 0.0 if lo <= lam.real <= hi else min(abs(lam.real - lo), abs(lam.real - hi))

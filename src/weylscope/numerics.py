@@ -52,7 +52,7 @@ def orthonormal_basis(columns) -> np.ndarray:
     if cols.shape[1] == 0 or cols.shape[0] == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     return u[:, :rank]

@@ -360,7 +360,7 @@ def extension_matrix(ext: Extension):
         q = np.eye(tr.dom_dim, dtype=complex)
     else:
         _, s, vh = np.linalg.svd(con)
-        rank = int(np.sum(s > 1e-12 * max(s[0], 1.0))) if s.size else 0
+        rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
         q = vh[rank:].conj().T
     return q, tr.action @ q
 

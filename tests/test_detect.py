@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from weylscope import triples
 from weylscope.detect import (
     SpaceSamplingSpec,
     SubspaceBasis,
+    _sample_stream,
     build_adjoint_spaces,
     build_resolvent_space,
     build_solution_space,
@@ -112,6 +114,21 @@ def test_saturated_sampling_plan(ext):
     np.testing.assert_allclose(dist[0::2], radius)
     np.testing.assert_allclose(dist[1::2], 2.0 * radius)
     assert spec.anchor == center + 1.37j * (2.0 * radius)
+
+
+@pytest.mark.parametrize("state_dim, hidden", [(6, None), (14, None), (40, None), (4, 25.0)],
+                         ids=["random-6", "random-14", "random-40", "hidden-25"])
+def test_sample_stream_keeps_distance_one_from_the_spectrum(state_dim, hidden):
+    # the circles have radius >= spread + 1 about the spectrum's mean and the anchor lies
+    # beyond the outer one, so no point ever needs moving away from an eigenvalue
+    rng = np.random.default_rng(state_dim)
+    tr = random_triple(rng, state_dim=state_dim, h=2, k=2)
+    ext = random_extension(rng, tr)
+    if hidden is not None:
+        ext = Extension(direct_sum_hidden(tr, np.array([[hidden]])), ext.bparam)
+    anchor, stream = _sample_stream(ext)
+    points = np.array([anchor, *itertools.islice(stream, 200)])
+    assert np.min(np.abs(points[:, None] - extension_eigenvalues(ext))) >= 1.0
 
 
 def test_spectrum_computed_once_per_extension(monkeypatch, hidden_ext):

@@ -8,7 +8,6 @@ from weylscope.errors import (
     BracketZeroError,
     ConstructionFailedError,
     DZeroError,
-    PoleCollisionError,
     RealLambdaError,
 )
 from weylscope.friedrichs import (
@@ -142,9 +141,14 @@ def test_cauchy_rejects_real_lambda():
         cauchy_transform(simple(-1j), 0.5)
 
 
-def test_cauchy_rejects_pole_collision():
-    with pytest.raises(PoleCollisionError):
-        cauchy_transform(simple(-1j), 1j)  # conj pole sits at +i
+def test_cauchy_on_and_next_to_the_pole_of_the_conjugate():
+    # conj(f) = 1/(x - i) has its pole on lam's side, where the closed form leaves it out
+    f = simple(-1j)
+    assert cauchy_transform(f, 1j) == 0
+    for delta in (1e-12, 1e-9):
+        lam = 1j + delta * np.exp(0.7j)
+        quad = real_line_quadrature(lambda x: np.conj(f(x)) / (x - lam), 2)
+        assert abs(cauchy_transform(f, lam) - quad) <= 1e-12
 
 
 def test_cauchy_analytic_in_half_plane():
@@ -164,6 +168,18 @@ NEAR_PSI = RationalH2(poles=(NEAR_POLE, -0.4 - 0.8j), residues=(1.0, 0.6 - 0.2j)
 NEAR_MODEL = FriedrichsModel(phi=RationalH2(poles=(0.5 - 1j, -0.2 + 1.5j),
                                             residues=(0.8 + 0.1j, -0.3 + 0.4j)),
                              psi=NEAR_PSI, bparam=0.2 - 0.1j)
+# lam = -i is the pole of psi; conj(phi) has its pole at 2i
+PSI_POLE_MODEL = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7 + 0.3j))
+
+
+def _quadrature_i_psi_det_and_m(model, lam):
+    """(I_psi, D, M) at lam from real_line_quadrature of the three Cauchy integrals."""
+    psi, conj_phi = model.psi, lambda x: np.conj(model.phi(x))
+    i_psi = real_line_quadrature(lambda x: psi(x) / (x - lam), 2)
+    i_phi = real_line_quadrature(lambda x: conj_phi(x) / (x - lam), 2)
+    det = 1.0 + real_line_quadrature(lambda x: psi(x) * conj_phi(x) / (x - lam), 2)
+    bracket = np.sign(lam.imag) * 1j * np.pi + i_psi * i_phi / det - model.bparam
+    return i_psi, det, 1.0 / bracket
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
@@ -171,11 +187,7 @@ def test_cauchy_and_m_value_next_to_a_pole_on_lambdas_side(delta):
     # lam lies delta from the order-2 pole of psi, on its side of the axis, where the
     # partial fractions of psi / (x - lam) cancel to about 1/delta^2 of their size
     lam = NEAR_POLE + delta * np.exp(0.7j)
-    psi, conj_phi = NEAR_MODEL.psi, lambda x: np.conj(NEAR_MODEL.phi(x))
-    i_psi = real_line_quadrature(lambda x: psi(x) / (x - lam), 2)
-    i_phi = real_line_quadrature(lambda x: conj_phi(x) / (x - lam), 2)
-    det = 1.0 + real_line_quadrature(lambda x: psi(x) * conj_phi(x) / (x - lam), 2)
-    m = 1.0 / (1j * np.pi + i_psi * i_phi / det - NEAR_MODEL.bparam)
+    i_psi, det, m = _quadrature_i_psi_det_and_m(NEAR_MODEL, lam)
     conj_psi = RationalH2(poles=tuple(np.conj(NEAR_PSI.poles)),
                           residues=tuple(np.conj(NEAR_PSI.residues)), orders=NEAR_PSI.orders)
     assert abs(cauchy_transform(conj_psi, lam) - i_psi) <= 1e-12 * abs(i_psi)
@@ -189,7 +201,7 @@ def test_cauchy_matches_the_pole_sum_product_away_from_poles(seed):
     # replaces, agree with it at least 0.2 from every pole
     model = _seeded_model(seed, phi_orders=(3, 1), psi_orders=(2, 3))
     rng = np.random.default_rng(seed)
-    poles = model._sums[3]
+    poles = model.psi.poles + tuple(np.conj(model.phi.poles))
     lams = [lam for lam in rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
             if min(abs(lam - p) for p in poles) >= 0.2 and abs(lam.imag) >= 0.2]
     for ps in model._sums[:3]:
@@ -296,7 +308,7 @@ def test_m_value_raises_where_the_determinant_vanishes():
         m_value(model, -0.5j)
 
 
-def test_m_value_skips_the_pole_check_where_the_determinant_vanishes():
+def test_m_value_raises_where_the_determinant_vanishes_on_a_pole_of_psi():
     with pytest.raises(DZeroError, match="determinant vanishes"):
         m_value(_determinant_zero_at_psi_pole(), -1j)
 
@@ -389,12 +401,12 @@ def test_m_scan_matches_pointwise_on_empty_pole_sums():
 @pytest.mark.parametrize("model, re_points, eps_values, pole_rows", [
     # D vanishes at -0.5i, the fourth point
     (_determinant_zero_model(np.random.default_rng(7), -0.5j), [-0.5, 0.0], [0.5], [3]),
-    # D vanishes at the pole -i of psi, the second point, which is then not a collision
+    # D vanishes at the pole -i of psi, the second point
     (_determinant_zero_at_psi_pole(), [0.0], [1.0], [1]),
     # B = pi i: the bracket vanishes at every point above the axis
     (hardy_model(b=np.pi * 1j), [0.0, 1.0], [1e-2], [0, 2]),
-    # 1.5e-10 from the pole -i of psi passes the pole check at 1e-10
-    (FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7)), [1.5e-10, 3e-10], [1.0], []),
+    # the second point, -i, is the pole of psi; the fourth and sixth lie 1.5e-10 and 3e-10 from it
+    (PSI_POLE_MODEL, [0.0, 1.5e-10, 3e-10], [1.0], []),
     # lam = 1e60 +- i against a 1e-200 term of psi
     (FriedrichsModel(phi=simple(-0.5 + 1j, 0.4),
                      psi=RationalH2(poles=(-1j, 2 - 1j), residues=(1.0, 1e-200))),
@@ -416,14 +428,27 @@ def test_m_scan_raises_on_real_lambda():
     assert str(scan.value) == str(pointwise.value)
 
 
-def test_m_scan_raises_on_psi_pole():
-    # the second point, -i, is the pole of psi; conj(phi) has its pole at 2i
-    model = FriedrichsModel(phi=simple(-2j), psi=simple(-1j, 0.7 + 0.3j))
-    with pytest.raises(PoleCollisionError) as pointwise:
-        _pointwise_rows(model, [0.0, 1.0], [1.0])
-    with pytest.raises(PoleCollisionError, match=r"lambda=-1j collides with pole \(-0-1j\)") as scan:
-        m_scan(model, [0.0, 1.0], [1.0])
-    assert str(scan.value) == str(pointwise.value)
+def test_m_on_the_pole_of_psi_matches_quadrature():
+    # the closed form leaves out the poles on lam's own side, so lam on one is no special point
+    _, det, m = _quadrature_i_psi_det_and_m(PSI_POLE_MODEL, -1j)
+    assert abs(m_value(PSI_POLE_MODEL, -1j) - m) <= 1e-12 * abs(m)
+    _, _, re_m, im_m, abs_det, _ = m_scan(PSI_POLE_MODEL, [0.0], [1.0])[1]
+    assert abs(complex(re_m, im_m) - m) <= 1e-12 * abs(m)
+    assert abs(abs_det - abs(det)) <= 1e-12 * abs(det)
+
+
+def test_m_scan_is_finite_where_pole_terms_leave_the_double_range():
+    # (lam - a)^3 overflows at |lam| = 1e200: those terms count as 0, so D = 1, I_psi = 0
+    # and M takes the value of a model without perturbation
+    psi = RationalH2(poles=(-1j, 1 + 2j), residues=(0.5 + 0.2j, -0.3), orders=(3, 3))
+    model = FriedrichsModel(phi=simple(-0.5 + 1j, 0.4), psi=psi, bparam=0.1)
+    rows = m_scan(model, [-1e200, 0.0, 1e200], [1.0])
+    assert np.isfinite(rows).all()
+    for re, im, re_m, im_m, abs_det, _ in rows:
+        if abs(re) == 1e200:
+            expect = 1.0 / (np.sign(im) * 1j * np.pi - 0.1)
+            assert abs_det == 1.0
+            assert abs(complex(re_m, im_m) - expect) <= 1e-15 * abs(expect)
 
 
 def test_m_scan_non_hardy_jump_converges():
