@@ -428,6 +428,13 @@ def test_m_scan_raises_on_real_lambda():
     assert str(scan.value) == str(pointwise.value)
 
 
+def test_m_scan_gives_values_on_psi_pole():
+    # the second point, -i, is the pole of psi; conj(phi) has its pole at 2i
+    rows = _scan_matches_pointwise(PSI_POLE_MODEL, [0.0, 1.0], [1.0])
+    assert rows[1][:2] == (0.0, -1.0)
+    assert np.isfinite(rows).all()
+
+
 def test_m_on_the_pole_of_psi_matches_quadrature():
     # the closed form leaves out the poles on lam's own side, so lam on one is no special point
     _, det, m = _quadrature_i_psi_det_and_m(PSI_POLE_MODEL, -1j)
