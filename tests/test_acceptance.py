@@ -244,7 +244,7 @@ def test_criterion_10_eigenvalue_not_a_pole():
           lower["gamma2_abs"] < 1e-9)
     _line(10, "integral functional of the eigenvector (lower case)",
           lower["gamma1_abs"], 1e-9, lower["gamma1_abs"] < 1e-9)
-    _line(10, "eigen-equation residual on the grid", lower["eigen_residual"], 1e-7,
+    _line(10, "eigen-equation residual, L2 norm by residues", lower["eigen_residual"], 1e-7,
           lower["eigen_residual"] < 1e-7)
     _line(10, "contour residual of M around the eigenvalue",
           lower["m_pole_residual"], 1e-10, lower["m_pole_residual"] < 1e-10)
@@ -256,8 +256,8 @@ def test_criterion_10_eigenvalue_not_a_pole():
 
 def test_criterion_11_embedded_eigenvalue_invisible():
     rep = friedrichs.example_embedded_eigenvalue()
-    _line(11, "embedded eigenvalue eigen-residual", rep["eigen_residual"], 1e-7,
-          rep["eigen_residual"] < 1e-7)
+    _line(11, "embedded eigenvalue eigen-residual, L2 norm by residues", rep["eigen_residual"],
+          1e-7, rep["eigen_residual"] < 1e-7)
     _line(11, "M jump equals the one-sided value", rep["m_jump_error"], 1e-9,
           rep["m_jump_error"] < 1e-9)
 

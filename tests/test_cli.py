@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -479,6 +480,21 @@ def test_eig_singular_value_block_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed, defect, passes", [(2, 0.0, True), (3, 1e-10, False)])
+def test_check_green_is_a_backward_error(tmp_path, seed, defect, passes):
+    # green divides the pairing residual by the size of its four pairings: a
+    # state_dim 40 triple passes at 1e-12 (its absolute residual is 1.8e-12),
+    # while action_adj scaled by 1 + 1e-10 still fails
+    tr = random_triple(np.random.default_rng(seed), state_dim=40, h=2, k=2)
+    tr = dataclasses.replace(tr, action_adj=tr.action_adj * (1.0 + defect))
+    tf, cfg, out = tmp_path / "triple.json", tmp_path / "cfg.json", tmp_path / "r.json"
+    write_json(tf, triple_to_dict(tr))
+    write_json(cfg, {"triple": str(tf)})
+    main(["check", "--config", str(cfg), "--out", str(out)])
+    green = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "green")
+    assert green["pass"] is passes and green["tolerance"] == 1e-12
+
+
 def test_check_impossible_tolerance_exits_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"seed": 3})
@@ -524,6 +540,7 @@ def test_shipped_configs_run(tmp_path):
         ("eig", "eig-free-neumann.json", "json"),
         ("contour", "contour-hidden.json", "json"),
         ("example", "example-ex2-lower.json", "json"),
+        ("example", "example-ex2-upper.json", "json"),
     ]
     for i, (cmd, name, kind) in enumerate(jobs):
         out = tmp_path / f"out_{i}.{kind}"

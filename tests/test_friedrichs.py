@@ -15,9 +15,9 @@ from weylscope.friedrichs import (
     PoleSum,
     RationalH2,
     _det_and_bracket,
+    _norm,
     boundary_values,
     cauchy_transform,
-    evaluation_grid,
     example_eigenvalue_not_pole,
     example_embedded_eigenvalue,
     green_pair_residual,
@@ -523,9 +523,8 @@ def test_action_pure_multiplication_when_orthogonal():
     model = FriedrichsModel(phi=simple(-1j), psi=simple(-2j), bparam=0.0)
     f = PoleSum.single(3j, 2)  # poles conjugate-separated from phi: inner product 0
     assert abs(inner_product(f, model.phi.as_polesum())) < 1e-14
-    nodes, _ = evaluation_grid()
-    np.testing.assert_allclose(maximal_action(model, f)(nodes), nodes * np.asarray(f(nodes)),
-                               atol=1e-12)
+    x_f = PoleSum({(3j, 1): 1.0, (3j, 2): 3j})  # x/(x - 3i)^2 in partial fractions
+    assert _norm(maximal_action(model, f) - x_f) <= 1e-14 * _norm(x_f)
 
 
 def test_green_pair_identity_random_rationals():
@@ -556,9 +555,8 @@ def test_kernel_element_formula():
         model.psi.as_polesum() * PoleSum.single(lam)
     ).scaled(i_phi / det)
     assert abs(kernel.tail_coefficient() - 1.0) < 1e-13
-    nodes, _ = evaluation_grid()
-    out = maximal_action(model, kernel)
-    np.testing.assert_allclose(out(nodes), lam * kernel(nodes), atol=1e-10)
+    lam_kernel = kernel.scaled(lam)
+    assert _norm(maximal_action(model, kernel) - lam_kernel) <= 1e-14 * _norm(lam_kernel)
 
 
 # -------------------------------------------------------------------- examples
@@ -586,9 +584,62 @@ def test_example2_upper_case_obstruction():
     assert rep["det_at_lam0"] < 1e-12
     np.testing.assert_allclose(rep["obstruction"], [-1.0, 0.0], atol=1e-10)
     assert rep["solvability_residual_rel"] >= 1e-2
-    assert rep["solvability_residual_rel"] >= 0.9 * rep["solvability_lower_bound"]
     assert rep["eigen_residual"] < 1e-7
     assert rep["m_pole_residual"] < 1e-10
+
+
+def upper_example(lam0):
+    """The ex2 report at lam0 and its model (psi = 1/(x + i), phi scaled from the report)."""
+    rep = example_eigenvalue_not_pole(lam0=lam0)
+    assert rep["case"] == "upper"
+    psi = simple(-1j)
+    phi = simple(-1j, complex(*rep["phi_scale"]))
+    return rep, FriedrichsModel(phi=phi, psi=psi, bparam=0.0)
+
+
+@pytest.mark.parametrize("lam0", [2j, -0.2 + 1.3j])
+def test_solvability_residual_is_the_distance_to_the_range(lam0):
+    # psi against the closure of (A_0 - lam0) u over u = sum c_j / (x - p_j) with
+    # G1 u = 0: an exact-Gram constrained least squares approaches the distance
+    # from above, and the reported value is that distance
+    rep, model = upper_example(lam0)
+    psi = model.psi.as_polesum()
+    trial = [PoleSum.single(complex(re, im)) for re in (-3.0, -1.0, 0.0, 1.0, 3.0, 9.0)
+             for im in (0.4, 0.7, 1.1, 1.6, 2.9, 5.0, -0.4, -0.7, -1.1, -1.6, -2.9, -5.0)]
+    assert len(trial) == 72
+    images = [maximal_action(model, b) - b.scaled(lam0) for b in trial]
+    gram = np.array([[inner_product(gj, gi) for gj in images] for gi in images])
+    rhs = np.array([inner_product(psi, gi) for gi in images])
+    g1 = np.array([[b.symmetric_integral() for b in trial]])
+    null = np.linalg.svd(g1)[2][1:].conj().T  # coefficient vectors with G1 u = 0
+    vals, vecs = np.linalg.eigh(null.conj().T @ gram @ null)
+    kept = vals > 1e-15 * vals[-1]  # a Gram matrix is semidefinite: the rest is rounding
+    basis = null @ vecs[:, kept]
+    coeff = basis @ ((basis.conj().T @ rhs) / vals[kept])
+    assert abs(g1 @ coeff)[0] < 1e-14
+    resid = psi
+    for c, g in zip(coeff, images):
+        resid = resid - g.scaled(c)
+    reached = _norm(resid) / _norm(psi)
+    reported = rep["solvability_residual_rel"]
+    assert reached >= reported - 1e-12
+    assert reached - reported <= 1e-10 * reported
+
+
+@pytest.mark.parametrize("lam0", [2j, -0.2 + 1.3j])
+def test_dual_element_spans_the_cokernel(lam0):
+    # w = phi/(x - conj lam0) solves the swapped eigen equation at conj lam0
+    # with both boundary values 0, so it is orthogonal to ran(A_0 - lam0)
+    rep, model = upper_example(lam0)
+    w = model.phi.as_polesum() * PoleSum.single(np.conj(lam0))
+    assert _norm(maximal_action(model, w, swapped=True) - w.scaled(np.conj(lam0))) \
+        <= 1e-14 * _norm(w)
+    assert boundary_values(rational_from_polesum(w)) == (0.0, 0.0)
+    obstruction = inner_product(model.psi.as_polesum(), w)
+    np.testing.assert_allclose([obstruction.real, obstruction.imag], rep["obstruction"],
+                               atol=1e-15)
+    assert rep["solvability_residual_rel"] == pytest.approx(
+        abs(obstruction) / (_norm(w) * _norm(model.psi.as_polesum())), rel=1e-15)
 
 
 def test_example3_default_construction():
