@@ -445,8 +445,8 @@ def run_contour(cfg, seed, tol):
 
 def _ex1(bparam, seed):
     model = friedrichs.FriedrichsModel(
-        phi=friedrichs.RationalH2(poles=(-1j,), residues=(1.0,)),
-        psi=friedrichs.RationalH2(poles=(-2j,), residues=(1.0,)),
+        phi=friedrichs.PoleSum.from_poles((-1j,), (1.0,)),
+        psi=friedrichs.PoleSum.from_poles((-2j,), (1.0,)),
         bparam=bparam,
     )
     rng = np.random.default_rng(seed)

@@ -7,10 +7,10 @@ c_f = lim x f(x), two boundary functionals and a scalar M-function
     M_B(lam) = [ sign(Im lam) pi i + I_psi(lam) I_phi(lam) / D(lam) - B ]^{-1},
 
 with D(lam) = 1 + integral of psi conj(phi)/(x - lam).  Everything here is
-computed exactly by residue calculus on functions kept in pole-coefficient
-form f = sum c_{k,j} / (x - a_k)^j, so the package-level quadrature serves
-as an independent cross-check rather than the primary route.  The Cauchy
-integrals D, I_psi and I_phi close in the half plane away from lam:
+computed exactly by residue calculus on one type, PoleSum: psi, phi (built
+by PoleSum.from_poles) and every function derived from them are kept in
+pole form f = sum c_{k,j} / (x - a_k)^j, and quadrature only cross-checks.
+The Cauchy integrals D, I_psi, I_phi close in the half plane away from lam:
 
     integral of f(x)/(x - lam) = 2 pi i f_-(lam)   (Im lam > 0),
                                = -2 pi i f_+(lam)  (Im lam < 0),
@@ -24,7 +24,7 @@ half plane exactly when all of its poles lie in the lower half plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -72,6 +72,27 @@ class PoleSum:
             self.terms[key] = new
 
     @classmethod
+    def from_poles(cls, poles, residues, orders=()):
+        """sum of r / (x - p)^o over nonreal poles p; orders default to all ones.
+
+        Terms enter in input order, the order of every later summation:
+        repeated (pole, order) pairs sum and near-equal poles merge.
+        """
+        poles = [complex(p) for p in poles]
+        residues = [complex(r) for r in residues]
+        orders = [int(o) for o in orders] if orders else [1] * len(poles)
+        if len(poles) != len(residues) or len(poles) != len(orders):
+            raise ValueError("poles, residues and orders must have equal length")
+        if any(abs(p.imag) <= _REAL_AXIS_TOL for p in poles):
+            raise ValueError("poles must be nonreal")
+        if any(o < 1 for o in orders):
+            raise ValueError("orders must be positive")
+        out = cls()
+        for p, r, o in zip(poles, residues, orders):
+            out._add_term(p, o, r)
+        return out
+
+    @classmethod
     def single(cls, pole, order=1, coeff=1.0):
         out = cls()
         out._add_term(complex(pole), order, complex(coeff))
@@ -115,6 +136,11 @@ class PoleSum:
                     coef = c * (-1) ** (q - j) * comb(p + q - j - 1, q - j) / (b - a) ** (p + q - j)
                     out._add_term(b, j, coef)
         return out
+
+    @property
+    def hardy_plus(self) -> bool:
+        """Whether every pole lies in the lower half plane (the upper Hardy class)."""
+        return all(p.imag < 0 for p, _ in self.terms)
 
     def tail_coefficient(self) -> complex:
         """Coefficient of 1/x at infinity: the sum of first-order coefficients."""
@@ -168,80 +194,27 @@ def inner_product(f: PoleSum, g: PoleSum) -> complex:
     return (f * g.conjugate()).line_integral()
 
 
-# --------------------------------------------------------------- public types
-
-
-@dataclass(frozen=True)
-class RationalH2:
-    """Square-integrable rational function in pole/coefficient form.
-
-    poles must be nonreal; orders default to all ones.  hardy_plus is true
-    exactly when every pole lies in the lower half plane (boundary values
-    of a function analytic in the upper half plane).
-    """
-
-    poles: tuple
-    residues: tuple
-    orders: tuple = field(default=())
-
-    def __post_init__(self):
-        poles = tuple(complex(p) for p in self.poles)
-        residues = tuple(complex(r) for r in self.residues)
-        orders = tuple(int(o) for o in self.orders) if self.orders else (1,) * len(poles)
-        if len(poles) != len(residues) or len(poles) != len(orders):
-            raise ValueError("poles, residues and orders must have equal length")
-        if any(abs(p.imag) <= _REAL_AXIS_TOL for p in poles):
-            raise ValueError("poles must be nonreal")
-        if any(o < 1 for o in orders):
-            raise ValueError("orders must be positive")
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "orders", orders)
-
-    @property
-    def hardy_plus(self) -> bool:
-        return all(p.imag < 0 for p in self.poles)
-
-    def as_polesum(self) -> PoleSum:
-        out = PoleSum()
-        for p, r, o in zip(self.poles, self.residues, self.orders):
-            out._add_term(p, o, r)
-        return out
-
-    def __call__(self, x):
-        return self.as_polesum()(x)
-
-
-def rational_from_polesum(ps: PoleSum) -> RationalH2:
-    poles, residues, orders = [], [], []
-    for (p, o), c in sorted(ps.terms.items(), key=lambda kv: (kv[0][0].real, kv[0][0].imag, kv[0][1])):
-        poles.append(p)
-        residues.append(c)
-        orders.append(o)
-    return RationalH2(poles=tuple(poles), residues=tuple(residues), orders=tuple(orders))
+# ---------------------------------------------------------------------- model
 
 
 @dataclass(frozen=True)
 class FriedrichsModel:
-    phi: RationalH2
-    psi: RationalH2
+    phi: PoleSum
+    psi: PoleSum
     bparam: complex = 0.0
 
     @cached_property
     def _sums(self):
         """(psi, conj(phi), psi conj(phi)), built once: the fields are frozen."""
-        psi = self.psi.as_polesum()
-        conj_phi = self.phi.as_polesum().conjugate()
-        return psi, conj_phi, psi * conj_phi
+        conj_phi = self.phi.conjugate()
+        return self.psi, conj_phi, self.psi * conj_phi
 
 
 def model_from_dict(data: dict) -> FriedrichsModel:
     def dec(obj):
-        return RationalH2(
-            poles=tuple(complex(re, im) for re, im in obj["poles"]),
-            residues=tuple(complex(re, im) for re, im in obj["residues"]),
-            orders=tuple(obj.get("orders", ())),
-        )
+        return PoleSum.from_poles([complex(re, im) for re, im in obj["poles"]],
+                                  [complex(re, im) for re, im in obj["residues"]],
+                                  obj.get("orders", ()))
 
     b = data.get("B", [0.0, 0.0])
     return FriedrichsModel(phi=dec(data["phi"]), psi=dec(data["psi"]),
@@ -284,9 +257,9 @@ def _cauchy_at(ps: PoleSum, lam) -> complex:
     return complex(_cauchy(ps, lams, lams.imag[0] > 0)[0])
 
 
-def cauchy_transform(f: RationalH2, lam: complex) -> complex:
+def cauchy_transform(f: PoleSum, lam: complex) -> complex:
     """<(x-lam)^{-1}, f> = integral of conj(f(x)) / (x - lam) dx, by residues."""
-    return _cauchy_at(f.as_polesum().conjugate(), lam)
+    return _cauchy_at(f.conjugate(), lam)
 
 
 def perturbation_determinant(model: FriedrichsModel, lam: complex) -> complex:
@@ -334,20 +307,14 @@ def m_value(model: FriedrichsModel, lam: complex) -> complex:
     return (1.0 / bracket)[0]
 
 
-def tail_coefficient(f: RationalH2) -> complex:
-    """lim x f(x): the sum of first-order residues."""
-    return f.as_polesum().tail_coefficient()
-
-
-def boundary_values(f: RationalH2):
+def boundary_values(f: PoleSum):
     """The pair (regularized whole-line integral, tail coefficient).
 
     The first functional subtracts c_f sign(x)/sqrt(x^2+1) before
     integrating; that regularizer is odd, so the value equals the symmetric
     principal-value integral of f, computed here in closed form.
     """
-    ps = f.as_polesum()
-    return ps.symmetric_integral(), ps.tail_coefficient()
+    return f.symmetric_integral(), f.tail_coefficient()
 
 
 def _pole_action(f: PoleSum, probe: PoleSum, direction: PoleSum):
@@ -373,20 +340,18 @@ def maximal_action(model: FriedrichsModel, f: PoleSum, swapped: bool = False) ->
     swapped = True applies the companion operator with phi and psi
     exchanged (inner product against psi, direction phi).
     """
-    probe = model.psi if swapped else model.phi
-    direction = model.phi if swapped else model.psi
-    return _pole_action(f, probe.as_polesum(), direction.as_polesum())[0]
+    probe, direction = (model.psi, model.phi) if swapped else (model.phi, model.psi)
+    return _pole_action(f, probe, direction)[0]
 
 
-def green_pair_residual(model: FriedrichsModel, f: RationalH2, g: RationalH2) -> float:
+def green_pair_residual(model: FriedrichsModel, f: PoleSum, g: PoleSum) -> float:
     """Residual of the two-operator pairing identity for the model.
 
     <A' f, g> - <f, A'' g> = G1 f conj(G2 g) - G2 f conj(G1 g), where A' is
     the swapped action and A'' the plain one; all terms exact by residues.
     """
-    fp, gp = f.as_polesum(), g.as_polesum()
-    left = inner_product(maximal_action(model, fp, swapped=True), gp) - inner_product(
-        fp, maximal_action(model, gp, swapped=False)
+    left = inner_product(maximal_action(model, f, swapped=True), g) - inner_product(
+        f, maximal_action(model, g, swapped=False)
     )
     g1f, g2f = boundary_values(f)
     g1g, g2g = boundary_values(g)
@@ -402,7 +367,7 @@ def hardy_m_reference(bparam: complex, lam: complex) -> complex:
     return 1.0 / (np.sign(complex(lam).imag) * 1j * np.pi - complex(bparam))
 
 
-def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j):
+def example_eigenvalue_not_pole(psi: PoleSum = None, lam0: complex = -1j):
     """Construct the model whose restriction has an eigenvalue the M-function misses.
 
     Scales phi = c psi so the determinant vanishes at lam0; the function
@@ -414,29 +379,28 @@ def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j):
     functional) is Fredholm, so its range is closed with orthogonal
     complement ker(A_0* - conj lam0), spanned by w = phi/(x - conj lam0):
     psi lies at the relative distance |<psi, w>| / (|w| |psi|) from that
-    range.  Every reported number is exact by residues.
+    range.  Every reported number is exact by residues on PoleSum, the one
+    type of psi (1/(x + i) by default, built by PoleSum.from_poles) and phi.
     """
     if psi is None:
-        psi = RationalH2(poles=(-1j,), residues=(1.0,))
+        psi = PoleSum.from_poles((-1j,), (1.0,))
     if not psi.hardy_plus:
         raise ConstructionFailedError("base function must have lower-half-plane poles")
     lam0 = complex(lam0)
     if abs(lam0.imag) <= _REAL_AXIS_TOL:
         raise RealLambdaError("lam0 must be nonreal")
 
-    psi_ps = psi.as_polesum()
-    base = _cauchy_at(psi_ps * psi_ps.conjugate(), lam0)
+    base = _cauchy_at(psi * psi.conjugate(), lam0)
     if abs(base) < 1e-14:
         raise ConstructionFailedError("determinant cannot be zeroed by scaling")
     scale = np.conj(-1.0 / base)
-    phi = rational_from_polesum(psi_ps.scaled(scale))
-    phi_ps = phi.as_polesum()
+    phi = psi.scaled(scale)
     model = FriedrichsModel(phi=phi, psi=psi, bparam=0.0)
 
     det0 = perturbation_determinant(model, lam0)
-    eigfun = psi_ps * PoleSum.single(lam0)
-    gamma1, gamma2 = eigfun.symmetric_integral(), eigfun.tail_coefficient()
-    ip, eig_resid = _eigen_residual(eigfun, phi_ps, psi_ps, lam0)
+    eigfun = psi * PoleSum.single(lam0)
+    gamma1, gamma2 = boundary_values(eigfun)
+    ip, eig_resid = _eigen_residual(eigfun, phi, psi, lam0)
 
     # M_0 pole check: contour integral of M on a small circle around lam0
     circle = ContourSpec(lam0, min(0.25 * abs(lam0.imag), 0.5), 32)
@@ -457,13 +421,13 @@ def example_eigenvalue_not_pole(psi: RationalH2 = None, lam0: complex = -1j):
         report["gamma1_abs"] = abs(gamma1)
     else:
         obstruction = _cauchy_at(model._sums[2], lam0)  # <psi, w>
-        w = phi_ps * PoleSum.single(np.conj(lam0))
+        w = phi * PoleSum.single(np.conj(lam0))
         report["obstruction"] = [obstruction.real, obstruction.imag]
-        report["solvability_residual_rel"] = abs(obstruction) / _norm(w) / _norm(psi_ps)
+        report["solvability_residual_rel"] = abs(obstruction) / _norm(w) / _norm(psi)
     return report
 
 
-def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
+def example_embedded_eigenvalue(g: PoleSum = None, lam0: float = 0.0,
                                 bparam: float = 0.0):
     """Construct a real eigenvalue embedded in the continuum and invisible to M.
 
@@ -472,10 +436,11 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
     eigenvalue lam0 with eigenvector s g, while M keeps its one-sided
     closed form on both half planes.  Raises ConstructionFailedError when
     the normalization integral is nonnegative (or vanishes), since no real
-    scaling can then reach -1.
+    scaling can then reach -1.  g (1/(x + 1 + i)^2 by default), psi and phi
+    are PoleSums, the one type of every function here (PoleSum.from_poles).
     """
     if g is None:
-        g = RationalH2(poles=(-1.0 - 1j,), residues=(1.0,), orders=(2,))
+        g = PoleSum.from_poles((-1.0 - 1j,), (1.0,), (2,))
     if not g.hardy_plus:
         raise ConstructionFailedError("base function must have lower-half-plane poles")
     if abs(complex(lam0).imag) > _REAL_AXIS_TOL:
@@ -484,11 +449,10 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
         raise ValueError("bparam must be real")
     lam0 = float(np.real(lam0))
 
-    g_ps = g.as_polesum()
-    if abs(g_ps.tail_coefficient()) > 1e-12 * max(g_ps.scale(), 1.0):
+    if abs(g.tail_coefficient()) > 1e-12 * max(g.scale(), 1.0):
         raise ConstructionFailedError("base function must decay faster than 1/x")
-    base = g_ps.shift_multiply() - g_ps.scaled(lam0)  # (x - lam0) g, exactly
-    norm_integral = inner_product(g_ps, base)
+    base = g.shift_multiply() - g.scaled(lam0)  # (x - lam0) g, exactly
+    norm_integral = inner_product(g, base)
     if abs(norm_integral.imag) > 1e-10 * max(1.0, abs(norm_integral)):
         raise ConstructionFailedError("normalization integral is not real")
     value = norm_integral.real
@@ -498,12 +462,11 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
             "no real scaling reaches -1"
         )
     s = float(np.sqrt(-1.0 / value))
-    psi_ps = base.scaled(s)
-    psi = rational_from_polesum(psi_ps)
+    psi = base.scaled(s)
     model = FriedrichsModel(phi=psi, psi=psi, bparam=float(bparam))
 
-    eigfun = g_ps.scaled(s)
-    ip, eig_resid = _eigen_residual(eigfun, psi_ps, psi_ps, lam0)
+    eigfun = g.scaled(s)
+    ip, eig_resid = _eigen_residual(eigfun, psi, psi, lam0)
 
     eps = 1e-3
     m_plus = m_value(model, lam0 + 1j * eps)
@@ -514,7 +477,7 @@ def example_embedded_eigenvalue(g: RationalH2 = None, lam0: float = 0.0,
     return {
         "lam0": lam0,
         "scaling": s,
-        "psi_at_lam0": abs(complex(psi_ps(lam0))),
+        "psi_at_lam0": abs(complex(psi(lam0))),
         "normalization": [ip.real, ip.imag],
         "normalization_error": abs(ip + 1.0),
         "eigen_residual": eig_resid,

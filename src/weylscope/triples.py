@@ -226,7 +226,8 @@ def triple_to_dict(tr: FiniteTriple) -> dict:
     """Serialize to the 'triple-v1' JSON schema (matrices as rows of [re, im])."""
 
     def enc(mat):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+        mat = np.asarray(mat)
+        return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
     return {
         "schema": "triple-v1",
@@ -279,12 +280,16 @@ def triple_from_dict(data: dict) -> FiniteTriple:
 
 
 def _pairing_violated(tr: FiniteTriple) -> bool:
-    """Whether the matrix defect of the pairing identity exceeds 1e-9 |action|."""
+    """Whether the matrix defect of the pairing identity exceeds 1e-9 of its larger side.
+
+    The scale is max(1, |action|_F, |action_adj|_F): either side may carry it.
+    """
     adj_lift = np.hstack([tr.action_adj.conj().T,
                           np.zeros((tr.state_dim + tr.k, tr.h), dtype=complex)])
     gap = (_lifted(tr.action, tr.k) - adj_lift
            - _pairing_rhs(tr.bnd1, tr.bnd2, tr.adj_bnd1, tr.adj_bnd2))
-    return np.linalg.norm(gap) > 1e-9 * max(1.0, np.linalg.norm(tr.action))
+    return np.linalg.norm(gap) > 1e-9 * max(1.0, np.linalg.norm(tr.action),
+                                            np.linalg.norm(tr.action_adj))
 
 
 @dataclass(frozen=True)

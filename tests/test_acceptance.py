@@ -220,8 +220,8 @@ def test_criterion_08_bordered_jump_dichotomy():
 def test_criterion_09_friedrichs_hardy_closed_form():
     rng = np.random.default_rng(SEED)
     model = friedrichs.FriedrichsModel(
-        phi=friedrichs.RationalH2(poles=(-1j,), residues=(1.0,)),
-        psi=friedrichs.RationalH2(poles=(-2j,), residues=(0.7 + 0.3j,)),
+        phi=friedrichs.PoleSum.from_poles((-1j,), (1.0,)),
+        psi=friedrichs.PoleSum.from_poles((-2j,), (0.7 + 0.3j,)),
         bparam=0.4 - 0.2j,
     )
     worst = 0.0

@@ -199,6 +199,17 @@ def _drop(data, key):
                                   "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[NAN, 0.0]]}},
                         "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1]}}),
+    # poles, residues and orders of one function must match in length
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
+                                  "psi": {"poles": [[0.0, -2.0], [1.0, -1.0]],
+                                          "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1]}}),
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]],
+                                          "orders": [1, 2]},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1]}}),
     # counts and the seed are exact integers: 1.5 was truncated, -1 raised
     ("check", lambda m: {"seed": -1}),
     ("check", lambda m: {"seed": 1.5}),
@@ -245,6 +256,7 @@ def _drop(data, key):
         "firstorder-rhs-decay-inf", "friedrichs-eps-inf", "hainlust-re-minus-inf",
         "hainlust-re-count-inf", "hainlust-eps-nan", "ex1-b-nan", "ex3-b-nan",
         "ex2-lam0-nan", "contour-hidden-nan", "contour-hidden-1x0", "friedrichs-residue-nan",
+        "friedrichs-residues-short", "friedrichs-orders-long",
         "seed-negative", "seed-fraction", "re-count-fraction", "firstorder-n-fraction",
         "re-count-zero", "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
         "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -151,6 +152,42 @@ def test_serialization_rejects_corruption(triple):
     data["bnd1"][0][0] = [data["bnd1"][0][0][0] + 1.0, data["bnd1"][0][0][1]]
     with pytest.raises(ValueError):
         triple_from_dict(data)
+
+
+def _entrywise_to_dict(tr):
+    """triple_to_dict written one entry at a time: the reference for its array writer."""
+
+    def enc(mat):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+
+    fields = ("action", "action_adj", "bnd1", "bnd2", "adj_bnd1", "adj_bnd2")
+    return {"schema": "triple-v1", "state_dim": tr.state_dim, "h": tr.h, "k": tr.k,
+            **{name: enc(getattr(tr, name)) for name in fields}}
+
+
+@pytest.mark.parametrize("state_dim, real", [(0, False), (20, False), (40, True), (120, False)])
+def test_triple_to_dict_matches_the_entrywise_writer(state_dim, real):
+    bnd = min(2, state_dim)
+    tr = random_triple(np.random.default_rng(state_dim), state_dim, h=bnd, k=bnd, real=real)
+    # signed zeros in both parts of every entry
+    signed = dataclasses.replace(tr, action=-(tr.action * 0.0), bnd1=tr.bnd1 * 0.0)
+    for case in (tr, signed):
+        assert json.dumps(triple_to_dict(case), sort_keys=True) \
+            == json.dumps(_entrywise_to_dict(case), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairing_gate_is_relative_to_both_sides(seed):
+    # |action_adj|_F is 187-721 against |action|_F of about 58: scaled by |action|
+    # alone, the gate rejected the 1e-10 defect at seed 2 and accepted it elsewhere
+    data = triple_to_dict(random_triple(np.random.default_rng(seed), 40, 2, 2))
+
+    def with_defect(rel):
+        return {**data, "action_adj": (np.array(data["action_adj"]) * (1 + rel)).tolist()}
+
+    triple_from_dict(with_defect(1e-10))
+    with pytest.raises(ValueError, match="pairing identity"):
+        triple_from_dict(with_defect(1e-6))
 
 
 # ------------------------------------------------------------ extension basics
