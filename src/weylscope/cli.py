@@ -265,7 +265,7 @@ def _suite_for_triple(rng, tr, tols):
         m, nu, nv = tr.state_dim, np.linalg.norm(u), np.linalg.norm(v)
         scale = (act * nu * np.linalg.norm(v[:m]) + np.linalg.norm(u[:m]) * act_adj * nv
                  + (b1 * adj_b2 + b2 * adj_b1) * nu * nv)
-        return triples.green_residual(tr, u, v) / scale
+        return triples.green_residual(tr, u, v) / (scale or 1.0)  # size 0 makes every pairing 0
 
     def safe_point():
         for _ in range(SAFE_POINT_MAX_DRAWS):
@@ -360,13 +360,11 @@ def run_scan(cfg, seed, tol):
     re_points = np.linspace(*grid["re"])
     eps_values = [float(e) for e in grid["eps"]]
     if data["type"] == "hainlust":
-        header = ["re_lambda", "im_lambda", "m11_re", "m11_im", "m12_re", "m12_im",
-                  "m21_re", "m21_im", "m22_re", "m22_im", "denom_abs", "full_jump",
-                  "bordered_jump"]
+        header = hainlust.SCAN_HEADER
         rows = partial(hainlust.scan_rows, hainlust.model_from_dict(data), re_points,
                        eps_values, grid["fd_n"])
     elif data["type"] == "friedrichs":
-        header = ["re_lambda", "im_lambda", "re_M", "im_M", "abs_D", "bracket_abs"]
+        header = friedrichs.SCAN_HEADER
         rows = partial(friedrichs.m_scan, friedrichs.model_from_dict(data), re_points,
                        eps_values)
     else:
@@ -377,7 +375,7 @@ def run_scan(cfg, seed, tol):
         )
         g = np.exp(-float(grid["rhs_decay"]) * model.grid.nodes)
         lams = [complex(x0, -abs(e)) for x0 in re_points for e in eps_values]
-        header = ["re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im"]
+        header = firstorder.SCAN_HEADER
         rows = partial(firstorder.scan_rows, model, lams, g)
 
     def report(out_path):

@@ -61,10 +61,6 @@ class ContourHitsEssranError(WeylScopeError):
     """Search-region boundary passes too close to the essential range."""
 
 
-class GridHitsEssranWError(WeylScopeError):
-    """Scan point too close to the essential range over the coupling support."""
-
-
 class RealLambdaError(WeylScopeError):
     """Cauchy-type transform requested on the real axis."""
 

@@ -131,8 +131,11 @@ def blowup_scan(model: FOModel, path, g: np.ndarray):
     return [model.grid.norm(resolvent(model, complex(lam), g)) for lam in path]
 
 
+SCAN_HEADER = ("re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im")
+
+
 def scan_rows(model: FOModel, lams, g: np.ndarray):
-    """Rows (re, im, resolvent norm, M re, M im) for CSV emission."""
+    """Rows (re, im, resolvent norm, M re, M im) for CSV emission, as in SCAN_HEADER."""
     lams = [complex(lam) for lam in lams]
     out = []
     for lam, nrm in zip(lams, blowup_scan(model, lams, g)):

@@ -51,11 +51,8 @@ class PoleSum:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms = {}
-        if terms:
-            for (pole, order), coeff in terms.items():
-                self._add_term(complex(pole), int(order), complex(coeff))
 
     def _add_term(self, pole, order, coeff):
         if coeff == 0:
@@ -72,15 +69,16 @@ class PoleSum:
             self.terms[key] = new
 
     @classmethod
-    def from_poles(cls, poles, residues, orders=()):
-        """sum of r / (x - p)^o over nonreal poles p; orders default to all ones.
+    def from_poles(cls, poles, residues, orders=None):
+        """sum of r / (x - p)^o over nonreal poles p; absent orders (None) are all ones.
 
-        Terms enter in input order, the order of every later summation:
-        repeated (pole, order) pairs sum and near-equal poles merge.
+        The one constructor of a nonzero PoleSum.  Terms enter in input order,
+        the order of every later summation: repeated (pole, order) pairs sum
+        and near-equal poles merge.
         """
         poles = [complex(p) for p in poles]
         residues = [complex(r) for r in residues]
-        orders = [int(o) for o in orders] if orders else [1] * len(poles)
+        orders = [1] * len(poles) if orders is None else [int(o) for o in orders]
         if len(poles) != len(residues) or len(poles) != len(orders):
             raise ValueError("poles, residues and orders must have equal length")
         if any(abs(p.imag) <= _REAL_AXIS_TOL for p in poles):
@@ -90,12 +88,6 @@ class PoleSum:
         out = cls()
         for p, r, o in zip(poles, residues, orders):
             out._add_term(p, o, r)
-        return out
-
-    @classmethod
-    def single(cls, pole, order=1, coeff=1.0):
-        out = cls()
-        out._add_term(complex(pole), order, complex(coeff))
         return out
 
     def __add__(self, other):
@@ -214,7 +206,7 @@ def model_from_dict(data: dict) -> FriedrichsModel:
     def dec(obj):
         return PoleSum.from_poles([complex(re, im) for re, im in obj["poles"]],
                                   [complex(re, im) for re, im in obj["residues"]],
-                                  obj.get("orders", ()))
+                                  obj.get("orders"))
 
     b = data.get("B", [0.0, 0.0])
     return FriedrichsModel(phi=dec(data["phi"]), psi=dec(data["psi"]),
@@ -398,7 +390,7 @@ def example_eigenvalue_not_pole(psi: PoleSum = None, lam0: complex = -1j):
     model = FriedrichsModel(phi=phi, psi=psi, bparam=0.0)
 
     det0 = perturbation_determinant(model, lam0)
-    eigfun = psi * PoleSum.single(lam0)
+    eigfun = psi * PoleSum.from_poles((lam0,), (1.0,))
     gamma1, gamma2 = boundary_values(eigfun)
     ip, eig_resid = _eigen_residual(eigfun, phi, psi, lam0)
 
@@ -421,7 +413,7 @@ def example_eigenvalue_not_pole(psi: PoleSum = None, lam0: complex = -1j):
         report["gamma1_abs"] = abs(gamma1)
     else:
         obstruction = _cauchy_at(model._sums[2], lam0)  # <psi, w>
-        w = phi * PoleSum.single(np.conj(lam0))
+        w = phi * PoleSum.from_poles((np.conj(lam0),), (1.0,))
         report["obstruction"] = [obstruction.real, obstruction.imag]
         report["solvability_residual_rel"] = abs(obstruction) / _norm(w) / _norm(psi)
     return report
@@ -489,6 +481,9 @@ def example_embedded_eigenvalue(g: PoleSum = None, lam0: float = 0.0,
 # ----------------------------------------------------------------------- scan
 
 
+SCAN_HEADER = ("re_lambda", "im_lambda", "re_M", "im_M", "abs_D", "bracket_abs")
+
+
 def m_scan(model: FriedrichsModel, re_points, eps_values):
     """Rows (re, im, Re M, Im M, |D|, |bracket|) over a grid straddling the axis.
 
@@ -499,7 +494,7 @@ def m_scan(model: FriedrichsModel, re_points, eps_values):
     lams = np.array([lam for x0 in re_points for eps in eps_values
                      for lam in (complex(x0, eps), complex(x0, -eps))], dtype=complex)
     det, bracket = _det_and_bracket(model, lams)
-    # abs() (hypot), the modulus m_value tests; numpy's vectorised one can differ in the last bit
+    # per-entry abs() (hypot) keeps the scan's CSV bytes; np.abs can differ in the last bit
     abs_det = [abs(d) for d in det.tolist()]
     abs_bracket = np.array([abs(b) for b in bracket.tolist()])
     m = np.divide(1.0, bracket, out=np.full_like(bracket, complex(np.nan, np.nan)),

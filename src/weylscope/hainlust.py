@@ -9,11 +9,11 @@ alpha, beta.  Its 2x2 M-matrix is computed by shooting on the scalar
 reduction -y'' + (q - lam) y + w^2/(lam - u) y = 0; eigenvalues are zeros
 of the boundary-condition denominator, located by the argument principle
 and polished by Newton; a second-order finite-difference discretization
-serves as an independent oracle for spectra, resolvents and the bordered
-resolvent scans.  The scans measure the two-sided resolvent jumps in the
-trapezoid-weighted inner product, in which the discretization of real
-coefficients is self-adjoint: one eigvalsh per discretization then gives
-every jump, and each is bounded by 2/|eps|.
+serves as an independent oracle for spectra and resolvents.  scan_rows, the
+one grid scan, reports the M-matrix and the full and bordered two-sided
+resolvent jumps of that discretization, in the trapezoid-weighted inner
+product in which it is self-adjoint for real coefficients: one eigvalsh per
+discretization then gives every jump, and each is bounded by 2/|eps|.
 
 Coefficients are piecewise polynomials with explicit breakpoints, which
 makes essential ranges exact and lets the shooting restart cleanly at the
@@ -36,7 +36,6 @@ from .errors import (
     AtEigenvalueError,
     CoefficientSingularError,
     ContourHitsEssranError,
-    GridHitsEssranWError,
     LambdaInSpectrumError,
     NoConvergenceError,
     ToleranceNotMetError,
@@ -466,7 +465,6 @@ def _winding(model, rect, tol):
     vals = [bc_denominator(model, z, tol) for z in pts]
     total = 0.0
     i = 0
-    pts = list(pts)
     refinements = 0
     while i < len(pts) - 1:
         a, b = vals[i], vals[i + 1]
@@ -724,51 +722,21 @@ def _jump_norms(model: HLModel, n: int):
     return norms
 
 
-def bordered_scan(model: HLModel, re_points, eps_values, n: int):
-    """Two-sided resolvent jumps across the real axis at the given points.
-
-    For each re point and eps the rows report the norm of R(x+i eps) -
-    R(x-i eps) both uncompressed and compressed to the subspace pairing the
-    full first component with the second component restricted to the
-    coupling support.  The norms are taken in the trapezoid-weighted inner
-    product of the n-point discretization; for real coefficients they come
-    from one eigvalsh per discretization and never exceed 2/|eps|.  Every
-    scan point must keep a complex distance of 1e-3 from the essential
-    range over the coupling support.
-    """
-    jump_norms = _jump_norms(model, n)
-    rows = []
-    for x0 in re_points:
-        for eps in eps_values:
-            lam = complex(x0, eps)
-            jumps = jump_norms(lam)
-            if jumps is None:
-                raise GridHitsEssranWError(
-                    f"scan point {lam} within 1e-3 of the singular set"
-                )
-            full, bordered = jumps
-            rows.append(
-                {
-                    "re_lambda": float(x0),
-                    "eps": float(eps),
-                    "full_jump": full,
-                    "bordered_jump": bordered,
-                }
-            )
-    return rows
+SCAN_HEADER = ("re_lambda", "im_lambda", "m11_re", "m11_im", "m12_re", "m12_im", "m21_re",
+               "m21_im", "m22_re", "m22_im", "denom_abs", "full_jump", "bordered_jump")
 
 
 def scan_rows(model: HLModel, re_points, eps_values, n: int):
     """Rows of M-matrix entries, |denominator| and jump norms over a grid.
 
-    One row per (re, eps), in grid order: re, eps, the real and imaginary
-    parts of m11, m12, m21, m22, |denominator|, full jump, bordered jump.
-    M entries and |denominator| are NaN where shooting fails, and
-    |denominator| is inf where the shoot rescaled (see _shoot_m); jumps are
-    NaN within 1e-3 of the singular set.  The jumps are those of bordered_scan
-    at (re, |eps|) on the n-point discretization: trapezoid-weighted norms,
-    from one eigvalsh per scan for real coefficients and then bounded by
-    2/|eps|.
+    One row per (re, eps), in grid order, with the columns of SCAN_HEADER: re,
+    eps, the real and imaginary parts of m11, m12, m21, m22, |denominator|,
+    and the full and bordered norms of R(x + i|eps|) - R(x - i|eps|) (see
+    _jump_norms) on the n-point discretization.  M entries and |denominator|
+    are NaN where shooting fails, and |denominator| is inf where the shoot
+    rescaled (see _shoot_m); jumps are NaN within 1e-3 of the singular set.
+    The jumps are trapezoid-weighted norms, from one eigvalsh per scan for
+    real coefficients and then bounded by 2/|eps|.
     """
     jump_norms = _jump_norms(model, n)
     nan = complex(np.nan, np.nan)

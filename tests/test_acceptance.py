@@ -206,13 +206,14 @@ def test_criterion_08_bordered_jump_dichotomy():
         w=hainlust.PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((1.0,), (0.0,))),
         alpha=np.pi / 2, beta=np.pi / 2,
     )
-    at3 = hainlust.bordered_scan(model, [3.0], [1e-5], n=320)[0]
+    full, bordered = (hainlust.SCAN_HEADER.index(name) for name in ("full_jump", "bordered_jump"))
+    at3 = hainlust.scan_rows(model, [3.0], [1e-5], n=320)[0]
     _line(8, "bordered jump at the uncoupled essential-range point",
-          at3["bordered_jump"], 1e-4, at3["bordered_jump"] < 1e-4)
-    _line(8, "full-resolvent jump at the uncoupled point", at3["full_jump"],
-          1e-1, at3["full_jump"] > 1e-1, ">")
-    at2 = hainlust.bordered_scan(model, [2.0], [1e-2, 3e-3, 1e-3], n=320)
-    best = max(r["bordered_jump"] for r in at2)
+          at3[bordered], 1e-4, at3[bordered] < 1e-4)
+    _line(8, "full-resolvent jump at the uncoupled point", at3[full],
+          1e-1, at3[full] > 1e-1, ">")
+    at2 = hainlust.scan_rows(model, [2.0], [1e-2, 3e-3, 1e-3], n=320)
+    best = max(r[bordered] for r in at2)
     _line(8, "bordered jump at the coupled essential-range point", best, 1e-1,
           best > 1e-1, ">")
 

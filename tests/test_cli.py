@@ -136,6 +136,14 @@ def test_scan_rerun_byte_identical(tmp_path, step_model_dict):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_scan_without_out_writes_stdout(tmp_path, capsys):
+    config, out = str(CONFIGS / "scan-friedrichs-hardy.json"), tmp_path / "scan.csv"
+    assert main(["scan", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["scan", "--config", config]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def _drop(data, key):
     return {k: v for k, v in data.items() if k != key}
 
@@ -210,6 +218,12 @@ def _drop(data, key):
                                           "orders": [1, 2]},
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
                         "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1]}}),
+    # an empty orders list ran as "all ones"
+    ("scan", lambda m: {"model": {"type": "friedrichs",
+                                  "phi": {"poles": [[0.0, -1.0], [1.0, -2.0]],
+                                          "residues": [[1.0, 0.0], [0.5, 0.0]], "orders": []},
+                                  "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
+                        "grid": {"re": [-1.0, 1.0, 3], "eps": [0.1]}}),
     # counts and the seed are exact integers: 1.5 was truncated, -1 raised
     ("check", lambda m: {"seed": -1}),
     ("check", lambda m: {"seed": 1.5}),
@@ -256,7 +270,7 @@ def _drop(data, key):
         "firstorder-rhs-decay-inf", "friedrichs-eps-inf", "hainlust-re-minus-inf",
         "hainlust-re-count-inf", "hainlust-eps-nan", "ex1-b-nan", "ex3-b-nan",
         "ex2-lam0-nan", "contour-hidden-nan", "contour-hidden-1x0", "friedrichs-residue-nan",
-        "friedrichs-residues-short", "friedrichs-orders-long",
+        "friedrichs-residues-short", "friedrichs-orders-long", "friedrichs-orders-empty",
         "seed-negative", "seed-fraction", "re-count-fraction", "firstorder-n-fraction",
         "re-count-zero", "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
         "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty",
@@ -505,6 +519,21 @@ def test_check_green_is_a_backward_error(tmp_path, seed, defect, passes):
     main(["check", "--config", str(cfg), "--out", str(out)])
     green = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "green")
     assert green["pass"] is passes and green["tolerance"] == 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_triple(np.random.default_rng(0), 0, 0, 0),
+    lambda: triples.make_triple(np.zeros((2, 2)), *[np.zeros((0, 2))] * 3),
+], ids=["empty", "zero-action"])
+def test_check_passes_a_triple_whose_green_scale_is_zero(tmp_path, make):
+    # each pairing is bounded by its term of the green scale, so a scale of 0
+    # forces a residual of 0: it is reported undivided, not as 0/0 = NaN
+    tf, cfg, out = tmp_path / "triple.json", tmp_path / "cfg.json", tmp_path / "r.json"
+    write_json(tf, triple_to_dict(make()))
+    write_json(cfg, {"triple": str(tf)})
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    green = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "green")
+    assert green["residual"] == 0.0 and green["pass"] is True
 
 
 def test_check_impossible_tolerance_exits_1(tmp_path):

@@ -293,6 +293,14 @@ def test_morera_dichotomy_hidden_eigenvalue(hidden_ext):
     assert np.linalg.norm(full + 2j * np.pi * proj, 2) < 1e-6
 
 
+def test_spectral_projection_is_zero_with_no_eigenvalue_inside():
+    empty = np.zeros((0, 3))
+    ext = Extension(triples.make_triple(np.diag([1.0, 2.0, 3.0]), empty, empty, empty),
+                    np.zeros((0, 0)))
+    proj = spectral_projection(ext, ContourSpec(center=10.0, radius=1.0, nodes=16))
+    assert proj.shape == (3, 3) and not proj.any()
+
+
 def test_morera_visible_eigenvalue_nonzero(ext):
     eigs = extension_eigenvalues(ext)
     lam = min(eigs, key=lambda z: min(abs(z - w) for w in eigs if abs(z - w) > 1e-9))

@@ -46,14 +46,14 @@ def hardy_model(b=0.0):
 
 def test_polesum_product_matches_pointwise():
     rng = np.random.default_rng(11)
-    f = PoleSum({(-1j, 1): 1.0, (2 - 1j, 2): 0.5 + 0.2j})
-    g = PoleSum({(1j, 1): -0.3, (2 - 1j, 1): 1.1j})
+    f = PoleSum.from_poles((-1j, 2 - 1j), (1.0, 0.5 + 0.2j), (1, 2))
+    g = PoleSum.from_poles((1j, 2 - 1j), (-0.3, 1.1j))
     x = rng.standard_normal(20) * 5
     np.testing.assert_allclose((f * g)(x), f(x) * g(x), atol=1e-12)
 
 
 def test_polesum_repeated_pole_product():
-    f = PoleSum.single(-1j, 1, 2.0)
+    f = simple(-1j, 2.0)
     prod = f * f
     assert prod.terms == {(-1j, 2): 4.0 + 0.0j}
 
@@ -61,20 +61,20 @@ def test_polesum_repeated_pole_product():
 def test_polesum_shift_multiply():
     # x/(x-a) - 1 = a/(x-a), and the deficiency relation x u - 1 = +/- i u
     for sign in (1.0, -1.0):
-        u = PoleSum.single(sign * 1j)
+        u = simple(sign * 1j)
         shifted = u.shift_multiply()
         assert shifted.terms == {(sign * 1j, 1): sign * 1j}
 
 
 def test_polesum_line_integral_vs_quadrature():
-    f = PoleSum({(-1j, 1): 1.0, (1j, 1): -1.0})  # 1/(x+i) - 1/(x-i): decay 2
+    f = PoleSum.from_poles((-1j, 1j), (1.0, -1.0))  # 1/(x+i) - 1/(x-i): decay 2
     exact = f.line_integral()
     quad = real_line_quadrature(lambda x: f(x), 2)
     assert abs(exact - quad) < 1e-8
 
 
 def test_polesum_symmetric_integral_vs_quadrature():
-    f = PoleSum.single(-1j)  # 1/(x+i): decay 1, symmetric value -i pi
+    f = simple(-1j)  # 1/(x+i): decay 1, symmetric value -i pi
     assert abs(f.symmetric_integral() + 1j * np.pi) < 1e-14
     # quadrature oracle on the regularized integrand (tail removed)
     c = f.tail_coefficient()
@@ -85,8 +85,8 @@ def test_polesum_symmetric_integral_vs_quadrature():
 
 
 def test_inner_product_vs_quadrature():
-    f = PoleSum({(-1j, 1): 1.0})
-    g = PoleSum({(-2j, 2): 1.0 - 0.5j})
+    f = simple(-1j)
+    g = simple(-2j, 1.0 - 0.5j, 2)
     exact = inner_product(f, g)
     quad = real_line_quadrature(lambda x: f(x) * np.conj(g(x)), 3)
     assert abs(exact - quad) < 1e-8
@@ -101,6 +101,7 @@ def test_rational_rejects_real_pole():
     ((-1j, -2j), (1.0,), (), "equal length"),
     ((-1j,), (1.0,), (1, 2), "equal length"),
     ((-1j,), (1.0,), (0,), "orders must be positive"),
+    ((-1j, -2j), (1.0, 1.0), (), "equal length"),  # an empty list is not "all ones"
 ])
 def test_from_poles_rejects_malformed_data(poles, residues, orders, message):
     with pytest.raises(ValueError, match=message):
@@ -236,7 +237,7 @@ def test_cauchy_matches_the_pole_sum_product_away_from_poles(seed):
             if min(abs(lam - p) for p in poles) >= 0.2 and abs(lam.imag) >= 0.2]
     for ps in model._sums[:3]:
         for lam in lams:
-            expect = (ps * PoleSum.single(lam)).line_integral()
+            expect = (ps * simple(lam)).line_integral()
             got = friedrichs._cauchy(ps, np.array([lam]), lam.imag > 0)[0]
             assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
@@ -548,9 +549,9 @@ def test_boundary_values_double_pole():
 def test_action_pure_multiplication_when_orthogonal():
     # f with zero tail and <f, phi> = 0: the action is plain x f(x)
     model = FriedrichsModel(phi=simple(-1j), psi=simple(-2j), bparam=0.0)
-    f = PoleSum.single(3j, 2)  # poles conjugate-separated from phi: inner product 0
+    f = simple(3j, 1.0, 2)  # poles conjugate-separated from phi: inner product 0
     assert abs(inner_product(f, model.phi)) < 1e-14
-    x_f = PoleSum({(3j, 1): 1.0, (3j, 2): 3j})  # x/(x - 3i)^2 in partial fractions
+    x_f = PoleSum.from_poles((3j, 3j), (1.0, 3j), (1, 2))  # x/(x - 3i)^2 in partial fractions
     assert _norm(maximal_action(model, f) - x_f) <= 1e-14 * _norm(x_f)
 
 
@@ -573,8 +574,8 @@ def test_kernel_element_formula():
     model = hardy_model(b=0.0)
     lam = 0.8 - 1.3j
     det = perturbation_determinant(model, lam)
-    i_phi = (model.phi.conjugate() * PoleSum.single(lam)).line_integral()
-    kernel = PoleSum.single(lam) - (model.psi * PoleSum.single(lam)).scaled(i_phi / det)
+    i_phi = (model.phi.conjugate() * simple(lam)).line_integral()
+    kernel = simple(lam) - (model.psi * simple(lam)).scaled(i_phi / det)
     assert abs(kernel.tail_coefficient() - 1.0) < 1e-13
     lam_kernel = kernel.scaled(lam)
     assert _norm(maximal_action(model, kernel) - lam_kernel) <= 1e-14 * _norm(lam_kernel)
@@ -625,7 +626,7 @@ def test_solvability_residual_is_the_distance_to_the_range(lam0):
     # from above, and the reported value is that distance
     rep, model = upper_example(lam0)
     psi = model.psi
-    trial = [PoleSum.single(complex(re, im)) for re in (-3.0, -1.0, 0.0, 1.0, 3.0, 9.0)
+    trial = [simple(complex(re, im)) for re in (-3.0, -1.0, 0.0, 1.0, 3.0, 9.0)
              for im in (0.4, 0.7, 1.1, 1.6, 2.9, 5.0, -0.4, -0.7, -1.1, -1.6, -2.9, -5.0)]
     assert len(trial) == 72
     images = [maximal_action(model, b) - b.scaled(lam0) for b in trial]
@@ -652,7 +653,7 @@ def test_dual_element_spans_the_cokernel(lam0):
     # w = phi/(x - conj lam0) solves the swapped eigen equation at conj lam0
     # with both boundary values 0, so it is orthogonal to ran(A_0 - lam0)
     rep, model = upper_example(lam0)
-    w = model.phi * PoleSum.single(np.conj(lam0))
+    w = model.phi * simple(np.conj(lam0))
     assert _norm(maximal_action(model, w, swapped=True) - w.scaled(np.conj(lam0))) \
         <= 1e-14 * _norm(w)
     assert boundary_values(w) == (0.0, 0.0)

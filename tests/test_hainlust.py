@@ -6,14 +6,13 @@ from weylscope.errors import (
     AtEigenvalueError,
     CoefficientSingularError,
     ContourHitsEssranError,
-    GridHitsEssranWError,
     NoConvergenceError,
 )
 from weylscope.hainlust import (
     HLModel,
     PiecewisePoly,
+    SCAN_HEADER,
     bc_denominator,
-    bordered_scan,
     discretize,
     eigenvalues_in,
     essential_range,
@@ -73,6 +72,12 @@ def test_essran_linear_u():
 
 def test_essran_constant():
     assert essential_range(PiecewisePoly.constant(5.0)) == [(5.0, 5.0)]
+
+
+def test_essran_joins_ranges_that_touch():
+    # u = 2x on [0, 1/2] has range [0, 1], u = 1/2 + x on [1/2, 1] has [1, 3/2]
+    u = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((0.0, 2.0), (0.5, 1.0)))
+    assert essential_range(u) == [(0.0, 1.5)]
 
 
 @pytest.mark.parametrize("breaks, coeffs", [
@@ -371,6 +376,12 @@ def test_eigenvalues_split_along_the_imaginary_axis():
         assert abs(f - (j * np.pi) ** 2) < 1e-8
 
 
+def test_nudge_cut_moves_a_cut_off_the_singular_set():
+    # a cut on the singular point 2 moves right by 0.013 widths, which clears it
+    assert hainlust._nudge_cut(2.0, 1.0, [(2.0, 2.0)]) == 2.0 + 0.013
+    assert hainlust._nudge_cut(2.5, 1.0, [(2.0, 2.0)]) == 2.5
+
+
 def test_real_axis_zero_two_sided_agreement():
     from weylscope.hainlust import real_axis_zero
 
@@ -458,28 +469,28 @@ def test_model_from_dict_reads_the_config_format():
     assert (model.alpha, model.beta) == (1.1, 2.0)
 
 
-# -------------------------------------------------------------- bordered scan
+# ------------------------------------------------------------------ jump scan
 
 
-def test_bordered_scan_dichotomy():
-    model = step_model()
-    rows = bordered_scan(model, [3.0], [1e-5], n=320)
-    assert rows[0]["full_jump"] > 1e-1
-    assert rows[0]["bordered_jump"] < 1e-4
+def jump_rows(model, re_points, eps_values, n):
+    """The (re, eps, full jump, bordered jump) columns of scan_rows, by name."""
+    cols = [SCAN_HEADER.index(name) for name in
+            ("re_lambda", "im_lambda", "full_jump", "bordered_jump")]
+    return np.array(scan_rows(model, re_points, eps_values, n))[:, cols]
 
 
-def test_bordered_scan_sees_coupled_essran():
-    model = step_model()
-    rows = bordered_scan(model, [2.0], [1e-2, 3e-3, 1e-3], n=320)
-    assert max(r["bordered_jump"] for r in rows) > 1e-1
+def test_scan_rows_jump_dichotomy():
+    (_, _, full, bordered), = jump_rows(step_model(), [3.0], [1e-5], n=320)
+    assert full > 1e-1
+    assert bordered < 1e-4
 
 
-def test_bordered_scan_guards_distance():
-    with pytest.raises(GridHitsEssranWError):
-        bordered_scan(step_model(), [2.0], [1e-4], n=64)
+def test_scan_rows_sees_coupled_essran():
+    rows = jump_rows(step_model(), [2.0], [1e-2, 3e-3, 1e-3], n=320)
+    assert rows[:, 3].max() > 1e-1
 
 
-def test_scan_rows_match_m_matrix_and_bordered_scan():
+def test_scan_rows_match_m_matrix_and_jump_norms():
     model = step_model()
     eps_values = [0.1, -0.1, 0.05, 0.05, 5e-4]
     rows = np.array(scan_rows(model, [1.5, 2.0, 3.0], eps_values, n=64))
@@ -493,9 +504,9 @@ def test_scan_rows_match_m_matrix_and_bordered_scan():
     for row in rows:
         m = m_matrix(model, complex(row[0], row[1]))
         assert list(row[2:10]) == [v for z in m.ravel() for v in (z.real, z.imag)]
+    jump_norms = hainlust._jump_norms(model, 64)
     for row in rows[~singular]:
-        (ref,) = bordered_scan(model, [row[0]], [abs(row[1])], n=64)
-        assert (row[11], row[12]) == (ref["full_jump"], ref["bordered_jump"])
+        assert (row[11], row[12]) == jump_norms(complex(row[0], abs(row[1])))
 
 
 def test_scan_rows_nan_row_where_shooting_fails():
@@ -540,9 +551,8 @@ def test_jump_norms_match_two_solve_reference(monkeypatch, coupling, solves):
 def test_full_jump_within_self_adjoint_bound():
     # for real coefficients the discretization is self-adjoint in the weighted
     # inner product, so ||R(x+i eps) - R(x-i eps)|| <= 2/eps
-    rows = bordered_scan(step_model(), [2.0], [1e-2, 3e-3, 1e-3], n=320)
-    for r in rows:
-        assert r["full_jump"] <= 2.0 / r["eps"]
+    for _, eps, full, _ in jump_rows(step_model(), [2.0], [1e-2, 3e-3, 1e-3], n=320):
+        assert full <= 2.0 / eps
 
 
 def test_off_support_second_component_decouples():
@@ -563,10 +573,10 @@ def test_full_jump_is_bordered_or_off_support_jump(coupling):
     model = step_model(coupling)
     _, meta = discretize(model, 64)
     u_off = model.u(meta["nodes"][~meta["support_mask"]])
-    for r in bordered_scan(model, [1.5, 2.5, 3.0], [0.1, 5e-3, -5e-3], n=64):
-        lam = complex(r["re_lambda"], r["eps"])
+    for x0, eps, full, bordered in jump_rows(model, [1.5, 2.5, 3.0], [0.1, 5e-3, -5e-3], n=64):
+        lam = complex(x0, eps)
         off = np.abs(1.0 / (u_off - lam) - 1.0 / (u_off - np.conj(lam))).max()
-        assert r["full_jump"] == max(r["bordered_jump"], off)
+        assert full == max(bordered, off)
 
 
 def test_bordered_reduces_to_schroedinger_block_when_uncoupled():

@@ -53,6 +53,19 @@ def test_orthonormal_basis_empty():
     assert q.shape == (4, 0)
 
 
+def test_orthonormal_basis_of_a_vector_and_of_zero_columns():
+    q = orthonormal_basis(np.array([3.0, 4.0]))  # a 1-D vector is one column
+    assert q.shape == (2, 1)
+    np.testing.assert_allclose(np.abs(q[:, 0]), [0.6, 0.8], atol=1e-15)
+    assert orthonormal_basis(np.zeros((3, 2))).shape == (3, 0)
+
+
+def test_principal_angles_with_an_empty_family():
+    v = orthonormal_basis(np.eye(4)[:, :2])
+    assert principal_angles(np.zeros((4, 0)), v).shape == (0,)
+    assert principal_angles(v, np.zeros((4, 0))).shape == (0,)
+
+
 def test_principal_angles_equal_spans():
     rng = np.random.default_rng(7)
     q = orthonormal_basis(rng.standard_normal((10, 3)))

@@ -267,6 +267,17 @@ def test_resolvent_rejects_spectrum(rng, ext):
         resolvent_apply(ext, complex(lam), np.ones(ext.triple.state_dim))
 
 
+def test_resolvent_rejects_an_exactly_singular_system():
+    # at an eigenvalue of a diagonal action the stacked system has a zero pivot,
+    # so the solve itself fails
+    empty = np.zeros((0, 3))
+    ext = Extension(make_triple(np.diag([1.0, 2.0, 3.0]), empty, empty, empty), np.zeros((0, 0)))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(ext.triple.action - 2.0 * np.eye(3), np.eye(3))
+    with pytest.raises(LambdaInSpectrumError):
+        resolvent_matrices(ext, 2.0)
+
+
 def _jordan_extension():
     # 3 x 3 Jordan block at 2, similarity-transformed: its computed eigenvalues
     # lie ~1e-5 from 2, so a distance-to-spectrum gate would pass lam = 2
