@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import detect, firstorder, friedrichs, hainlust, triples
 from .errors import ConfigInvalidError, SampleInSpectrumError, WeylScopeError
-from .numerics import ContourSpec, matrix_norm2, principal_angles
+from .numerics import ContourSpec, matrix_norm2, orthonormal_basis, principal_angles
 
 DEFAULT_SEED = 1729
 # check: residual tolerance per entry; --tol replaces all but morera-full,
@@ -297,15 +296,11 @@ def _suite_for_triple(rng, tr, tols):
           [triples.krein_residual(ext_b, ext_c, safe_point()) for _ in range(50)])
     entry("m-equality", "M-function versus resolvent route", [m_gap() for _ in range(20)])
 
-    spec = detect.saturated_sampling(ext_b)
-    t_space = detect.build_solution_space(ext_b, spec)
-    s_space = detect.build_resolvent_space(ext_b, spec)
+    _, t_cols, (s_space, shifted) = detect.saturated_spaces(ext_b, (0.0, 2.3j))
     entry("detection-angle", "solution span equals smoothed resolvent span",
-          principal_angles(s_space.basis, t_space.basis))
-    shifted = dataclasses.replace(spec, anchor=spec.anchor + 2.3j)
+          principal_angles(s_space.basis, orthonormal_basis(t_cols)))
     entry("anchor-independence", "smoothed span independent of its anchor",
-          principal_angles(detect.build_resolvent_space(ext_b, shifted).basis,
-                           s_space.basis))
+          principal_angles(shifted.basis, s_space.basis))
     entry("invariance", "resolvent invariance of the detection space",
           [detect.invariance_residual(s_space, ext_b, safe_point()) for _ in range(5)])
     return entries

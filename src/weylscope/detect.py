@@ -8,6 +8,10 @@ the state space that the M-function can see; compressing the resolvent
 between the adjoint-side and primary-side spaces removes the spectrum the
 M-function is blind to, which is what the contour (Morera-style) residuals
 check.
+
+Each sample point is factorized once: from its stacked inverse the
+saturation loop keeps the solution values it tests for rank and the
+resolvent images of the anchor blocks, so the plan, T and S are one pass.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from .numerics import (
     ContourSpec,
     contour_integral,
     matrix_norm2,
+    numerical_rank,
     orthonormal_basis,
 )
 from .triples import (
     Extension,
+    _stacked_inverse,
     adjoint_extension,
     extension_eigenvalues,
     extension_operator,
@@ -106,23 +112,31 @@ def _side_by_side(ext: Extension, blocks) -> np.ndarray:
     return np.hstack(blocks) if blocks else np.zeros((ext.triple.state_dim, 0), dtype=complex)
 
 
-def _solution_columns(ext: Extension, points) -> np.ndarray:
-    """State values of the solution-operator ranges at the points, side by side."""
-    return _side_by_side(ext, [ext.triple.values(solution_basis(ext, mu)) for mu in points])
+def _point_columns(ext: Extension, mu: complex, anchor_blocks=()):
+    """S(mu) state values (copied, not a view of the n x n inverse) and R_B(mu) @ a per block a."""
+    m = ext.triple.state_dim
+    inv = _stacked_inverse(ext, mu)
+    return inv[:m, m:].copy(), [inv[:m, :m] @ a for a in anchor_blocks]
+
+
+def _anchor_blocks(ext: Extension, anchors) -> list:
+    """State values of the solution ranges at the anchors, the blocks R_B is applied to."""
+    _check_samples(ext, anchors, "anchor")
+    return [ext.triple.values(solution_basis(ext, z)) for z in anchors]
 
 
 def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
     """Orthonormal basis of the solution-operator ranges over the samples; the anchor is unused."""
     _check_samples(ext, spec.solution_samples, "solution sample")
-    return SubspaceBasis(basis=orthonormal_basis(_solution_columns(ext, spec.solution_samples)))
+    cols = [_point_columns(ext, mu)[0] for mu in spec.solution_samples]
+    return SubspaceBasis(basis=orthonormal_basis(_side_by_side(ext, cols)))
 
 
 def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
     """Basis of the span of resolvent images of the anchor solution range."""
     _check_samples(ext, spec.resolvent_samples, "resolvent sample")
-    _check_samples(ext, (spec.anchor,), "anchor")
-    anchor_vals = ext.triple.values(solution_basis(ext, spec.anchor))
-    blocks = [resolvent_matrices(ext, delta)[1] @ anchor_vals for delta in spec.resolvent_samples]
+    anchor_vals = _anchor_blocks(ext, (spec.anchor,))
+    blocks = [_point_columns(ext, delta, anchor_vals)[1][0] for delta in spec.resolvent_samples]
     return SubspaceBasis(basis=orthonormal_basis(_side_by_side(ext, blocks)))
 
 
@@ -142,27 +156,39 @@ def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec):
     return build_resolvent_space(adj, conj_spec), build_solution_space(adj, conj_spec)
 
 
-def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
-    """Grow the sampling plan until the solution-span rank is stable.
+def saturated_spaces(ext: Extension, shifts=(0.0,)):
+    """(plan, T columns, S per shift), from one stacked inverse per point of the plan.
 
     Points are taken one at a time from the sample stream, starting from
-    SATURATION_START of them; the plan is accepted once the rank has not
-    moved for SATURATION_STABLE_RUNS consecutive additions, or at
-    SATURATION_MAX_POINTS points.
+    SATURATION_START of them; the plan is accepted once the solution-span
+    rank has not moved for SATURATION_STABLE_RUNS consecutive additions, or
+    at SATURATION_MAX_POINTS points.  orthonormal_basis of the T columns is
+    build_solution_space(ext, plan); S is build_resolvent_space(ext, plan)
+    with the anchor moved by the shift.
     """
     anchor, stream = _sample_stream(ext)
-    pts = list(itertools.islice(stream, SATURATION_START))
-    cols = _solution_columns(ext, pts)
-    rank = orthonormal_basis(cols).shape[1]
-    stable = 0
+    anchor_vals = _anchor_blocks(ext, [anchor + shift for shift in shifts])
+    pts, cols, images = [], [], []
+    rank, stable = None, 0
     while stable < SATURATION_STABLE_RUNS and len(pts) < SATURATION_MAX_POINTS:
-        pts.append(next(stream))
-        cols = np.hstack([cols, _solution_columns(ext, pts[-1:])])
-        new_rank = orthonormal_basis(cols).shape[1]
+        for mu in itertools.islice(stream, 1 if pts else SATURATION_START):
+            vals, imgs = _point_columns(ext, mu, anchor_vals)
+            pts.append(mu)
+            cols.append(vals)
+            images.append(imgs)
+        block = np.hstack(cols)
+        new_rank = numerical_rank(block)
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank
-    return SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
+    spec = SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
                              solution_samples=tuple(pts))
+    return spec, block, [SubspaceBasis(basis=orthonormal_basis(np.hstack(per_shift)))
+                         for per_shift in zip(*images)]
+
+
+def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
+    """The sampling plan alone, grown until the solution-span rank is stable (saturated_spaces)."""
+    return saturated_spaces(ext, ())[0]
 
 
 def invariance_residual(space: SubspaceBasis, ext: Extension, mu: complex) -> float:
@@ -239,8 +265,7 @@ def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> di
     the adjoint and of the primary side at the saturated plan; both
     residuals come from one resolvent per contour node.
     """
-    spec = saturated_sampling(ext)
-    s_space = build_resolvent_space(ext, spec)
+    spec, _, (s_space,) = saturated_spaces(ext)
     s_adj = build_resolvent_space(*_adjoint_side(ext, spec))
     full = full_contour_integral(ext, contour)
     return {

@@ -217,13 +217,11 @@ def model_from_dict(data: dict) -> HLModel:
             coeffs=tuple(tuple(complex(re, im) for re, im in cs) for cs in obj["coeffs"]),
         )
 
-    return HLModel(
-        q=dec(data["q"]),
-        u=dec(data["u"]),
-        w=dec(data["w"]),
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-    )
+    u = dec(data["u"])
+    if not u.is_real():  # essential_range, the singular set, is real intervals
+        raise ValueError("u must have real coefficients")
+    return HLModel(q=dec(data["q"]), u=u, w=dec(data["w"]), alpha=float(data["alpha"]),
+                   beta=float(data["beta"]))
 
 
 # ------------------------------------------------------------------ shooting

@@ -52,10 +52,21 @@ def orthonormal_basis(columns) -> np.ndarray:
     if cols.shape[1] == 0 or cols.shape[0] == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
-    return u[:, :rank]
+    return u[:, :_rank(s)]
+
+
+def numerical_rank(columns) -> int:
+    """Column count of orthonormal_basis(columns), from the singular values alone.
+
+    These can differ from the full SVD's in the last bits, and so can a count at the cutoff.
+    """
+    cols = np.asarray(columns, dtype=complex)
+    return _rank(np.linalg.svd(cols, compute_uv=False)) if cols.size else 0
+
+
+def _rank(s) -> int:
+    """Number of the descending singular values s above DEFAULT_RANK_TOL of the first."""
+    return int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def principal_angles(u, v) -> np.ndarray:

@@ -325,6 +325,13 @@ class Extension:
         eigs.setflags(write=False)
         return eigs
 
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """The stacked system [action; bnd1 - B bnd2] at lam = 0, built once and read-only."""
+        mat = np.vstack([self.triple.action, self.constraint])
+        mat.setflags(write=False)
+        return mat
+
 
 def adjoint_extension(ext: Extension) -> Extension:
     """The adjoint-side restriction, parametrized by the conjugate transpose."""
@@ -338,13 +345,14 @@ def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
     its trailing h columns the solution basis S(lam).  One LU per call.  lam
     counts as spectral when the solve fails, the inverse is not finite, or
     |A|_F |A^-1|_F >= 1/SPECTRUM_RCOND; since |.|_2 <= |.|_F this rejects
-    every lam with sigma_min(A) <= SPECTRUM_RCOND sigma_max(A).
+    every lam with sigma_min(A) <= SPECTRUM_RCOND sigma_max(A).  It starts
+    from a copy of the restriction's cached system at lam = 0.
     """
-    m = ext.triple.state_dim
-    mat = np.vstack([ext.triple.action, ext.constraint])
-    mat[:m, :m] -= lam * np.eye(m)
+    m, n = ext.triple.state_dim, ext.triple.dom_dim
+    mat = ext._stacked.copy()
+    mat.reshape(-1)[: m * (n + 1) : n + 1] -= lam  # the leading m diagonal entries
     try:
-        inv = np.linalg.solve(mat, np.eye(mat.shape[0], dtype=complex))
+        inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         inv = None
     if (inv is None or not np.all(np.isfinite(inv))

@@ -6,15 +6,20 @@ from weylscope.friedrichs import PoleSum
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Shapes of the matrices passed to np.linalg.solve while the test runs."""
+    """Shapes of the matrices factorized by np.linalg.solve or np.linalg.inv while the test runs."""
     calls = []
-    solve = np.linalg.solve
+    solve, inv = np.linalg.solve, np.linalg.inv
 
-    def counting(a, b):
+    def counting_solve(a, b):
         calls.append(np.shape(a))
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    def counting_inv(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     return calls
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylscope import cli, triples
+from weylscope import cli, detect, triples
 from weylscope.cli import main
 from weylscope.triples import random_triple, triple_to_dict
 
@@ -49,6 +49,30 @@ def test_check_default_suite_passes(tmp_path):
         assert "tolerance" in c and "identity" in c
         if not c["expected_nonzero"]:
             assert c["residual"] <= c["tolerance"]
+
+
+def test_check_detection_block_factorizes_each_sample_point_once(monkeypatch, solve_calls):
+    # T, S and the S anchored 2.3i higher all come from the saturation loop's
+    # inverses: N + 2 stacked factorizations for a plan of N points (one per
+    # point, the anchor, the shifted anchor) instead of 4N + 2.  The other
+    # entries take hilbert 2 x 50, krein 2 x 50, m-equality 3 x 20 and
+    # invariance 5; the spectra are m x m and not counted.
+    rng = np.random.default_rng(7)
+    tr = random_triple(rng, state_dim=6, h=2, k=2)
+    plans = []
+    sampled = detect.saturated_spaces
+
+    def recording(ext, shifts):
+        out = sampled(ext, shifts)
+        plans.append(out[0])
+        return out
+
+    monkeypatch.setattr(detect, "saturated_spaces", recording)
+    cli._suite_for_triple(rng, tr, cli.CHECK_TOLERANCES)
+    (plan,) = plans
+    n = tr.dom_dim
+    stacked = sum(shape == (n, n) for shape in solve_calls)
+    assert stacked == 265 + len(plan.solution_samples) + 2
 
 
 def test_check_corrupted_triple_exits_2(tmp_path):
@@ -415,6 +439,30 @@ def test_eig_hainlust_region(tmp_path):
     vals = json.loads(out.read_text())["eigenvalues"]
     assert len(vals) == 1
     assert abs(vals[0][0] - np.pi**2) < 1e-8
+
+
+HL_COMMANDS = [("scan", {"grid": {"re": [1.5, 3.5, 5], "eps": [0.1], "fd_n": 32}}),
+               ("eig", {"region": [1.5, 3.5, -0.3, 0.5]})]
+
+
+@pytest.mark.parametrize("command, rest", HL_COMMANDS, ids=["scan", "eig"])
+def test_hainlust_complex_u_exits_2(tmp_path, capsys, step_model_dict, command, rest):
+    # the singular set is u's essential range, real intervals: a complex u is refused
+    step_model_dict["u"]["coeffs"][0] = [[2.0, 0.1]]
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": step_model_dict, **rest})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: invalid config: u must have real coefficients\n"
+
+
+def test_scan_hainlust_complex_q_and_w_still_scan(tmp_path, step_model_dict):
+    step_model_dict["q"]["coeffs"][0] = [[0.5, 0.2]]
+    step_model_dict["w"]["coeffs"][0] = [[1.0, -0.3]]
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": step_model_dict, **HL_COMMANDS[0][1]})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5
 
 
 def test_contour_hidden_block_report(tmp_path):

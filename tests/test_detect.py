@@ -1,11 +1,17 @@
+import dataclasses
 import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylscope import triples
 from weylscope.detect import (
+    SATURATION_MAX_POINTS,
+    SATURATION_STABLE_RUNS,
+    SATURATION_START,
     SpaceSamplingSpec,
     SubspaceBasis,
     _sample_stream,
@@ -18,10 +24,11 @@ from weylscope.detect import (
     invariance_residual,
     morera_residual,
     saturated_sampling,
+    saturated_spaces,
     spectral_projection,
 )
 from weylscope.errors import ContourHitsSpectrumError, SampleInSpectrumError
-from weylscope.numerics import ContourSpec, matrix_norm2, principal_angles
+from weylscope.numerics import ContourSpec, matrix_norm2, orthonormal_basis, principal_angles
 from weylscope.triples import (
     Extension,
     direct_sum_hidden,
@@ -30,6 +37,7 @@ from weylscope.triples import (
     random_extension,
     random_triple,
     resolvent_matrices,
+    solution_basis,
 )
 
 
@@ -116,16 +124,22 @@ def test_saturated_sampling_plan(ext):
     assert spec.anchor == center + 1.37j * (2.0 * radius)
 
 
+def _seeded_extension(state_dim, hidden=None):
+    """A seeded random restriction (h = k = 2), widened by a hidden block when given."""
+    rng = np.random.default_rng(state_dim)
+    tr = random_triple(rng, state_dim=state_dim, h=2, k=2)
+    ext = random_extension(rng, tr)
+    if hidden is None:
+        return ext
+    return Extension(direct_sum_hidden(tr, np.array([[hidden]])), ext.bparam)
+
+
 @pytest.mark.parametrize("state_dim, hidden", [(6, None), (14, None), (40, None), (4, 25.0)],
                          ids=["random-6", "random-14", "random-40", "hidden-25"])
 def test_sample_stream_keeps_distance_one_from_the_spectrum(state_dim, hidden):
     # the circles have radius >= spread + 1 about the spectrum's mean and the anchor lies
     # beyond the outer one, so no point ever needs moving away from an eigenvalue
-    rng = np.random.default_rng(state_dim)
-    tr = random_triple(rng, state_dim=state_dim, h=2, k=2)
-    ext = random_extension(rng, tr)
-    if hidden is not None:
-        ext = Extension(direct_sum_hidden(tr, np.array([[hidden]])), ext.bparam)
+    ext = _seeded_extension(state_dim, hidden)
     anchor, stream = _sample_stream(ext)
     points = np.array([anchor, *itertools.islice(stream, 200)])
     assert np.min(np.abs(points[:, None] - extension_eigenvalues(ext))) >= 1.0
@@ -353,17 +367,66 @@ def test_detection_report_one_solve_per_node(hidden_ext, solve_calls):
 
 def test_detection_record_builds_only_s_and_s_adjoint(hidden_ext, solve_calls):
     # S and S~ take one anchor solve and one solve per sample each, the
-    # residuals one per node; the adjoint solution space is not built
+    # residuals one per node; S comes from the inverses of the saturation
+    # loop itself, and the adjoint solution space is not built
     contour = ContourSpec(center=25.0, radius=1.0, nodes=64)
     rec = detection_record(hidden_ext, contour, "demo")
     n = hidden_ext.triple.dom_dim
     assert hidden_ext.triple.adj_dom_dim == n
     record_solves = sum(shape == (n, n) for shape in solve_calls)
     spec = saturated_sampling(hidden_ext)
-    assert record_solves == 3 * len(spec.solution_samples) + 2 + 64
+    assert record_solves == 2 * len(spec.solution_samples) + 2 + 64
     s_basis = build_resolvent_space(hidden_ext, spec)
     s_adj, _ = build_adjoint_spaces(hidden_ext, spec)
     assert rec["residual_bordered"] == morera_residual(hidden_ext, contour, s_adj, s_basis)
     assert rec["residual_full"] == matrix_norm2(full_contour_integral(hidden_ext, contour))
     # T and Tadj, the solution-space dims, are not reported yet
     assert rec["dims"] == {"S": s_basis.dim, "T": None, "Sadj": s_adj.dim, "Tadj": None}
+
+
+@pytest.mark.parametrize("state_dim, hidden", [(6, None), (30, None), (4, 25.0)],
+                         ids=["random-6", "random-30", "hidden-25"])
+def test_saturated_spaces_equal_the_builders_bit_for_bit(state_dim, hidden, solve_calls):
+    # one pass over the plan yields T, S and S at a shifted anchor, each the
+    # same bits as its builder, from one factorization per point and anchor
+    ext = _seeded_extension(state_dim, hidden)
+    extension_eigenvalues(ext)
+    solve_calls.clear()
+    spec, t_cols, (s_space, shifted) = saturated_spaces(ext, (0.0, 2.3j))
+    assert len(solve_calls) == len(spec.solution_samples) + 2
+    assert spec == saturated_sampling(ext)
+    assert np.array_equal(orthonormal_basis(t_cols), build_solution_space(ext, spec).basis)
+    assert np.array_equal(s_space.basis, build_resolvent_space(ext, spec).basis)
+    moved = dataclasses.replace(spec, anchor=spec.anchor + 2.3j)
+    assert np.array_equal(shifted.basis, build_resolvent_space(ext, moved).basis)
+
+
+def _reference_plan(ext):
+    """saturated_sampling with the rank taken as orthonormal_basis(cols).shape[1]."""
+    anchor, stream = _sample_stream(ext)
+
+    def columns(points):
+        return [ext.triple.values(solution_basis(ext, mu)) for mu in points]
+
+    pts = list(itertools.islice(stream, SATURATION_START))
+    cols = np.hstack(columns(pts))
+    rank = orthonormal_basis(cols).shape[1]
+    stable = 0
+    while stable < SATURATION_STABLE_RUNS and len(pts) < SATURATION_MAX_POINTS:
+        pts.append(next(stream))
+        cols = np.hstack([cols, *columns(pts[-1:])])
+        new_rank = orthonormal_basis(cols).shape[1]
+        stable = stable + 1 if new_rank == rank else 0
+        rank = new_rank
+    return SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
+                             solution_samples=tuple(pts))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(state_dim=st.integers(3, 24), h=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_values_only_rank_gives_the_reference_plan(state_dim, h, seed):
+    # singular values alone can differ from the full SVD's in the last bits;
+    # the plan they give must still be the one the full-SVD rank gives
+    rng = np.random.default_rng(seed)
+    ext = random_extension(rng, random_triple(rng, state_dim=state_dim, h=h, k=h))
+    assert saturated_sampling(ext) == _reference_plan(ext)
