@@ -1,7 +1,7 @@
 """weylscope: numerical checks for Weyl M-functions of adjoint operator pairs."""
 
 from .numerics import ContourSpec, contour_integral, orthonormal_basis, principal_angles, real_line_quadrature
-from .triples import Extension, FiniteTriple, adjoint_extension, direct_sum_hidden, green_residual, hilbert_identity_residual, krein_residual, m_function, m_via_resolvent, make_triple, random_extension, random_triple, resolvent_apply, solution_operator
+from .triples import Extension, FiniteTriple, adjoint_extension, direct_sum_hidden, green_residual, hilbert_identity_residual, krein_residual, m_function, m_via_resolvent, make_triple, random_extension, random_triple, resolvent_apply
 
 __version__ = "0.1.0"
 
@@ -24,5 +24,4 @@ __all__ = [
     "random_triple",
     "real_line_quadrature",
     "resolvent_apply",
-    "solution_operator",
 ]

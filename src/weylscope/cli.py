@@ -160,7 +160,8 @@ MODELS = {
                  "beta": (FLOAT, REQUIRED)},
     "friedrichs": {"type": TAG, "phi": (RATIONAL, REQUIRED), "psi": (RATIONAL, REQUIRED),
                    "B": (PAIR, None)},
-    "firstorder": {"type": TAG, "B": (PAIR, [1.0, 0.0]),
+    # firstorder B is accepted and has no effect: f(0) = 0 has no parameter (ROADMAP item 13)
+    "firstorder": {"type": TAG, "B": (PAIR, None),
                    "grid": ({"length": (FLOAT, 40.0), "n": (integer(1), 4096)}, {})},
     "triple-v1": {"schema": TAG, **dict.fromkeys(("state_dim", "h", "k"), (integer(0), REQUIRED)),
                   **dict.fromkeys(("action", "action_adj", "bnd1", "bnd2", "adj_bnd1",
@@ -174,7 +175,7 @@ SCHEMAS = {
                           fd_n=(integer(hainlust.MIN_FD_N), 128)),
         "friedrichs": _scan("friedrichs", [-3.0, 3.0, 25], [1e-1, 1e-2, 1e-3], NONZERO),
         "firstorder": _scan("firstorder", [0.0, 2.0, 10], [0.5, 0.125, 0.03125], NONZERO,
-                            rhs_decay=(FLOAT, 1.0)),
+                            rhs_decay=(POSITIVE, 1.0)),
     }, "model type"),
     "eig": select(_model_type, {
         "hainlust": _config(model=(MODELS["hainlust"], REQUIRED),
@@ -298,9 +299,9 @@ def _suite_for_triple(rng, tr, tols):
 
     _, t_cols, (s_space, shifted) = detect.saturated_spaces(ext_b, (0.0, 2.3j))
     entry("detection-angle", "solution span equals smoothed resolvent span",
-          principal_angles(s_space.basis, orthonormal_basis(t_cols)))
+          principal_angles(s_space, orthonormal_basis(t_cols)))
     entry("anchor-independence", "smoothed span independent of its anchor",
-          principal_angles(shifted.basis, s_space.basis))
+          principal_angles(shifted, s_space))
     entry("invariance", "resolvent invariance of the detection space",
           [detect.invariance_residual(s_space, ext_b, safe_point()) for _ in range(5)])
     return entries
@@ -363,11 +364,8 @@ def run_scan(cfg, seed, tol):
         rows = partial(friedrichs.m_scan, friedrichs.model_from_dict(data), re_points,
                        eps_values)
     else:
-        model = firstorder.FOModel(
-            bparam=complex(*data["B"]),
-            grid=firstorder.HalfLineGrid(length=float(data["grid"]["length"]),
-                                         n=data["grid"]["n"]),
-        )
+        model = firstorder.FOModel(grid=firstorder.HalfLineGrid(
+            length=float(data["grid"]["length"]), n=data["grid"]["n"]))
         g = np.exp(-float(grid["rhs_decay"]) * model.grid.nodes)
         lams = [complex(x0, -abs(e)) for x0 in re_points for e in eps_values]
         header = firstorder.SCAN_HEADER

@@ -7,7 +7,8 @@ point ("resolvent space").  Their closures coincide and are the part of
 the state space that the M-function can see; compressing the resolvent
 between the adjoint-side and primary-side spaces removes the spectrum the
 M-function is blind to, which is what the contour (Morera-style) residuals
-check.
+check.  A space is the array of its orthonormal state-space columns (as
+orthonormal_basis returns them), so the bordered resolvent is S~^H R S.
 
 Each sample point is factorized once: from its stacked inverse the
 saturation loop keeps the solution values it tests for rank and the
@@ -63,17 +64,6 @@ class SpaceSamplingSpec:
     solution_samples: tuple = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning one detection space."""
-
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 def _check_samples(ext: Extension, points, what: str):
     for z in points:
         if spectrum_distance(ext, z) <= SPECTRUM_CLEARANCE:
@@ -125,19 +115,19 @@ def _anchor_blocks(ext: Extension, anchors) -> list:
     return [ext.triple.values(solution_basis(ext, z)) for z in anchors]
 
 
-def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
-    """Orthonormal basis of the solution-operator ranges over the samples; the anchor is unused."""
+def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> np.ndarray:
+    """Orthonormal columns spanning the solution-operator ranges; the anchor is unused."""
     _check_samples(ext, spec.solution_samples, "solution sample")
     cols = [_point_columns(ext, mu)[0] for mu in spec.solution_samples]
-    return SubspaceBasis(basis=orthonormal_basis(_side_by_side(ext, cols)))
+    return orthonormal_basis(_side_by_side(ext, cols))
 
 
-def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> SubspaceBasis:
-    """Basis of the span of resolvent images of the anchor solution range."""
+def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> np.ndarray:
+    """Orthonormal columns spanning the resolvent images of the anchor solution range."""
     _check_samples(ext, spec.resolvent_samples, "resolvent sample")
     anchor_vals = _anchor_blocks(ext, (spec.anchor,))
     blocks = [_point_columns(ext, delta, anchor_vals)[1][0] for delta in spec.resolvent_samples]
-    return SubspaceBasis(basis=orthonormal_basis(_side_by_side(ext, blocks)))
+    return orthonormal_basis(_side_by_side(ext, blocks))
 
 
 def _adjoint_side(ext: Extension, spec: SpaceSamplingSpec):
@@ -151,7 +141,7 @@ def _adjoint_side(ext: Extension, spec: SpaceSamplingSpec):
 
 
 def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec):
-    """(resolvent, solution) bases of the adjoint-side restriction at the conjugated plan."""
+    """(resolvent, solution) spaces of the adjoint-side restriction at the conjugated plan."""
     adj, conj_spec = _adjoint_side(ext, spec)
     return build_resolvent_space(adj, conj_spec), build_solution_space(adj, conj_spec)
 
@@ -182,8 +172,7 @@ def saturated_spaces(ext: Extension, shifts=(0.0,)):
         rank = new_rank
     spec = SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
                              solution_samples=tuple(pts))
-    return spec, block, [SubspaceBasis(basis=orthonormal_basis(np.hstack(per_shift)))
-                         for per_shift in zip(*images)]
+    return spec, block, [orthonormal_basis(np.hstack(per_shift)) for per_shift in zip(*images)]
 
 
 def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
@@ -191,33 +180,32 @@ def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
     return saturated_spaces(ext, ())[0]
 
 
-def invariance_residual(space: SubspaceBasis, ext: Extension, mu: complex) -> float:
-    """Defect of resolvent invariance: |(I - P) R(mu) P| for the space's projector."""
-    q = space.basis
+def invariance_residual(q: np.ndarray, ext: Extension, mu: complex) -> float:
+    """Defect of resolvent invariance: |(I - P) R(mu) P|, P the projector onto ran q."""
     _, rv = resolvent_matrices(ext, mu)
     rp = rv @ q
     return matrix_norm2(rp - q @ (q.conj().T @ rp))
 
 
-def _compress(mat: np.ndarray, left: SubspaceBasis, right: SubspaceBasis) -> np.ndarray:
-    """left^H mat right: a state-space operator compressed between two bases."""
-    return left.basis.conj().T @ mat @ right.basis
+def _compress(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^H mat right: a state-space operator compressed between two spaces."""
+    return left.conj().T @ mat @ right
 
 
-def _bordered_norm(full: np.ndarray, left: SubspaceBasis, right: SubspaceBasis) -> float:
-    """Norm of a contour integral compressed between the two bases."""
+def _bordered_norm(full: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """Norm of a contour integral compressed between the two spaces."""
     return matrix_norm2(_compress(full, left, right))
 
 
-def bordered_resolvent(ext: Extension, lam: complex, left: SubspaceBasis,
-                       right: SubspaceBasis) -> np.ndarray:
-    """Resolvent compressed between the adjoint-side and primary-side bases."""
+def bordered_resolvent(ext: Extension, lam: complex, left: np.ndarray,
+                       right: np.ndarray) -> np.ndarray:
+    """S~^H R(lam) S: the resolvent compressed between the adjoint-side and primary-side spaces."""
     _, rv = resolvent_matrices(ext, lam)
     return _compress(rv, left, right)
 
 
-def morera_residual(ext: Extension, contour: ContourSpec, left: SubspaceBasis,
-                    right: SubspaceBasis) -> float:
+def morera_residual(ext: Extension, contour: ContourSpec, left: np.ndarray,
+                    right: np.ndarray) -> float:
     """Norm of the contour integral of the bordered resolvent.
 
     Vanishes (geometrically in the node count) exactly when the bordered
@@ -278,5 +266,5 @@ def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> di
         "residual_bordered": _bordered_norm(full, s_adj, s_space),
         "residual_full": matrix_norm2(full),
         # T and Tadj, the solution-space dims, stay null until ROADMAP item 2 fills T
-        "dims": {"S": s_space.dim, "T": None, "Sadj": s_adj.dim, "Tadj": None},
+        "dims": {"S": s_space.shape[1], "T": None, "Sadj": s_adj.shape[1], "Tadj": None},
     }

@@ -4,8 +4,10 @@ The M-function of this model is identically zero while the spectrum of the
 restriction fills the closed upper half plane, and the detection spaces are
 dense in the whole state space.  The operations here make those three facts
 machine-checkable: an explicit resolvent, a least-squares density residual
-against decaying exponentials, and a norm scan along paths approaching the
-real axis where the resolvent blows up although the M-function stays zero.
+against decaying exponentials, and scan_rows, the one norm scan along paths
+approaching the real axis where the resolvent blows up although the
+M-function stays zero.  The boundary condition f(0) = 0 has no parameter,
+so the model is its grid alone.
 
 The resolvent is a trapezoid recursion along the grid.  Its local terms
 are computed in float64 array arithmetic, a block of nodes at a time; only
@@ -57,16 +59,13 @@ class HalfLineGrid:
 
 @dataclass(frozen=True)
 class FOModel:
-    """Half-line derivative model with adjoint-side boundary parameter."""
+    """Half-line derivative model, sampled on a trapezoid grid."""
 
-    bparam: complex
     grid: HalfLineGrid
 
 
-def m_value(model: FOModel, lam: complex, adjoint: bool = False) -> complex:
-    """M-function value: identically 0; the adjoint side returns -1/bparam."""
-    if adjoint:
-        return -1.0 / model.bparam
+def m_value(model: FOModel, lam: complex) -> complex:
+    """M-function value: identically 0."""
     return 0.0 + 0.0j
 
 
@@ -126,20 +125,20 @@ def density_residual(model: FOModel, f: np.ndarray, mus) -> float:
     return float(np.linalg.norm(b - a @ coeff))
 
 
-def blowup_scan(model: FOModel, path, g: np.ndarray):
-    """Resolvent norms along a path of spectral parameters in the lower half plane."""
-    return [model.grid.norm(resolvent(model, complex(lam), g)) for lam in path]
-
-
 SCAN_HEADER = ("re_lambda", "im_lambda", "resolvent_norm", "m_value_re", "m_value_im")
 
 
 def scan_rows(model: FOModel, lams, g: np.ndarray):
-    """Rows (re, im, resolvent norm, M re, M im) for CSV emission, as in SCAN_HEADER."""
-    lams = [complex(lam) for lam in lams]
+    """Rows (re, im, resolvent norm, M re, M im) along a path in the lower half plane.
+
+    The one scan of the model, in the column order of SCAN_HEADER; the
+    norm is the grid norm of resolvent(model, lam, g).
+    """
     out = []
-    for lam, nrm in zip(lams, blowup_scan(model, lams, g)):
+    for lam in lams:
+        lam = complex(lam)
         mv = m_value(model, lam)
-        out.append((lam.real, lam.imag, nrm, mv.real, mv.imag))
+        out.append((lam.real, lam.imag, model.grid.norm(resolvent(model, lam, g)),
+                    mv.real, mv.imag))
     return out
 

@@ -169,13 +169,16 @@ def essential_range(poly: PiecewisePoly, restrict_to=((0.0, 1.0),)):
     return _merge_intervals(pieces)
 
 
+def _rect_distance(re_lo, re_hi, im_lo, im_hi, intervals) -> float:
+    """Distance from a closed rectangle to a union of real closed intervals (inf for none)."""
+    dy = max(im_lo, -im_hi, 0.0)
+    return min((float(np.hypot(max(lo - re_hi, re_lo - hi, 0.0), dy)) for lo, hi in intervals),
+               default=np.inf)
+
+
 def interval_set_distance(lam: complex, intervals) -> float:
     """Distance from a complex point to a union of real closed intervals (inf for none)."""
-    best = np.inf
-    for lo, hi in intervals:
-        dx = 0.0 if lo <= lam.real <= hi else min(abs(lam.real - lo), abs(lam.real - hi))
-        best = min(best, float(np.hypot(dx, lam.imag)))
-    return best
+    return _rect_distance(lam.real, lam.real, lam.imag, lam.imag, intervals)
 
 
 # -------------------------------------------------------------------- model
@@ -516,8 +519,11 @@ def _check_region(re_lo, re_hi, im_lo, im_hi):
 def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     """All denominator zeros in the rectangle, by subdivision plus Newton.
 
-    The rectangle boundary must keep a distance of 1e-3 from the essential
-    range of the multiplier; located zeros are polished to 1e-10 and the
+    The closed rectangle must keep a distance of 1e-3 from the singular set
+    (the essential range of u over the coupling support), where the winding
+    number of the denominator is no zero count, and its boundary the same
+    distance from the whole essential range of u; otherwise it raises
+    ContourHitsEssranError.  Located zeros are polished to 1e-10 and the
     final count is checked against the winding number of the whole region.
     A Newton run that does not converge counts as a miss: the rectangle is
     subdivided, down to ROOT_MAX_DEPTH levels.  Raises ValueError unless
@@ -525,13 +531,14 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     """
     _check_region(re_lo, re_hi, im_lo, im_hi)
     tol = ROOT_ODE_TOL
-    essran_full = model.essran()
-    for z in _boundary_path(re_lo, re_hi, im_lo, im_hi, 16):
-        if interval_set_distance(z, essran_full) <= 1e-3:
-            raise ContourHitsEssranError(
-                "search-region boundary within 1e-3 of the essential range"
-            )
-    sing = model.essran_on_support()
+    if _rect_distance(re_lo, re_hi, im_lo, im_hi, model.essran_on_support()) <= 1e-3:
+        raise ContourHitsEssranError("search region within 1e-3 of the singular set")
+    edges = [(re_lo, re_hi, im_lo, im_lo), (re_lo, re_hi, im_hi, im_hi),
+             (re_lo, re_lo, im_lo, im_hi), (re_hi, re_hi, im_lo, im_hi)]
+    if min(_rect_distance(*edge, model.essran()) for edge in edges) <= 1e-3:
+        raise ContourHitsEssranError(
+            "search-region boundary within 1e-3 of the essential range"
+        )
 
     total = _winding(model, (re_lo, re_hi, im_lo, im_hi), tol)
     roots: list[complex] = []
@@ -558,9 +565,9 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
                 continue
             if depth >= ROOT_MAX_DEPTH:
                 raise NoConvergenceError(f"could not isolate zero in {rect}")
-        # split along the longer edge, nudging off the singular set
+        # split along the longer edge
         if (rhi - rlo) >= (ihi - ilo):
-            cut = _nudge_cut(0.5 * (rlo + rhi), rhi - rlo, sing)
+            cut = 0.5 * (rlo + rhi)
             subs = [(rlo, cut, ilo, ihi), (cut, rhi, ilo, ihi)]
         else:
             cut = 0.5 * (ilo + ihi)
@@ -576,14 +583,6 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
             f"found {len(roots)} zeros but boundary winding is {total}"
         )
     return sorted(roots, key=lambda z: (z.real, z.imag))
-
-
-def _nudge_cut(cut, width, intervals):
-    for _ in range(20):
-        if interval_set_distance(complex(cut, 0.0), intervals) > 1e-4:
-            return cut
-        cut += 0.013 * width
-    return cut
 
 
 def _dedupe(roots):

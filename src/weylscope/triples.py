@@ -343,10 +343,11 @@ def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
 
     Its leading m columns are the resolvent R_B(lam) in domain coordinates,
     its trailing h columns the solution basis S(lam).  One LU per call.  lam
-    counts as spectral when the solve fails, the inverse is not finite, or
-    |A|_F |A^-1|_F >= 1/SPECTRUM_RCOND; since |.|_2 <= |.|_F this rejects
-    every lam with sigma_min(A) <= SPECTRUM_RCOND sigma_max(A).  It starts
-    from a copy of the restriction's cached system at lam = 0.
+    counts as spectral when the solve fails or unless
+    |A|_F |A^-1|_F < 1/SPECTRUM_RCOND; since |.|_2 <= |.|_F this rejects
+    every lam with sigma_min(A) <= SPECTRUM_RCOND sigma_max(A), and a NaN
+    or infinite inverse fails the comparison.  It starts from a copy of the
+    restriction's cached system at lam = 0.
     """
     m, n = ext.triple.state_dim, ext.triple.dom_dim
     mat = ext._stacked.copy()
@@ -355,8 +356,7 @@ def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
         inv = None
-    if (inv is None or not np.all(np.isfinite(inv))
-            or np.linalg.norm(mat) * np.linalg.norm(inv) * SPECTRUM_RCOND >= 1.0):
+    if inv is None or not (np.linalg.norm(mat) * np.linalg.norm(inv) * SPECTRUM_RCOND < 1.0):
         raise LambdaInSpectrumError(f"lambda={lam} is in the spectrum of the restriction")
     return inv
 
@@ -437,20 +437,12 @@ def resolvent_matrices(ext: Extension, lam: complex):
     return coords, coords[:m]
 
 
-def solution_operator(ext: Extension, lam: complex, f) -> np.ndarray:
-    """Kernel element y with (action - lam*value) y = 0 and (bnd1 - B bnd2) y = f.
-
-    Returned in domain coordinates; its leading m entries are the state
-    values.  Defined for every lam outside the finite spectrum of the
-    restriction, and analytic there.  It is solution_basis(ext, lam) @ f.
-    """
-    return solution_basis(ext, lam) @ np.asarray(f, dtype=complex)
-
-
 def solution_basis(ext: Extension, lam: complex) -> np.ndarray:
     """Solution operator applied to the identity on boundary data (n x h).
 
-    The trailing h columns of the stacked inverse, copied: a view would keep
+    solution_basis(ext, lam) @ f is the kernel element y with
+    (action - lam*value) y = 0 and (bnd1 - B bnd2) y = f, in domain
+    coordinates, analytic off the spectrum.  The trailing h columns of the stacked inverse, copied: a view would keep
     the whole n x n inverse alive in callers that hold many bases.
     """
     return _stacked_inverse(ext, lam)[:, ext.triple.state_dim:].copy()

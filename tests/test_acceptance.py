@@ -108,7 +108,7 @@ def test_criterion_04_detection_space_equality():
     spec = detect.saturated_sampling(ext)
     t_space = detect.build_solution_space(ext, spec)
     s_space = detect.build_resolvent_space(ext, spec)
-    ang = principal_angles(s_space.basis, t_space.basis)
+    ang = principal_angles(s_space, t_space)
     worst = float(np.max(ang)) if ang.size else 0.0
     _line(4, "saturated principal angles between the two spans", worst, 1e-8,
           worst < 1e-8)
@@ -120,7 +120,7 @@ def test_criterion_04_detection_space_equality():
             solution_samples=spec.solution_samples,
         )
         other = detect.build_resolvent_space(ext, moved)
-        ang = principal_angles(other.basis, s_space.basis)
+        ang = principal_angles(other, s_space)
         worst_anchor = max(worst_anchor, float(np.max(ang)) if ang.size else 0.0)
     _line(4, "anchor independence across 3 choices", worst_anchor, 1e-8,
           worst_anchor < 1e-8)
@@ -153,16 +153,16 @@ def test_criterion_05_contour_dichotomy_hidden_block():
 
 def test_criterion_06_firstorder_counterexample():
     grid = firstorder.HalfLineGrid(length=40.0, n=4096)
-    model = firstorder.FOModel(bparam=1.0, grid=grid)
+    model = firstorder.FOModel(grid=grid)
     m_vals = [firstorder.m_value(model, lam) for lam in (1 + 1j, -5j, 0.2 - 3j)]
     m_max = max(abs(v) for v in m_vals)
     _line(6, "M identically zero", m_max, 0.0, m_max == 0.0, "==")
 
-    big = firstorder.FOModel(bparam=1.0,
-                             grid=firstorder.HalfLineGrid(length=4096.0, n=65536))
+    big = firstorder.FOModel(grid=firstorder.HalfLineGrid(length=4096.0, n=65536))
     g = np.exp(-0.05 * big.grid.nodes)
     path = [0.0 - 1j * 2.0 ** (-j) for j in range(1, 13)]
-    norms = firstorder.blowup_scan(big, path, g)
+    col = firstorder.SCAN_HEADER.index("resolvent_norm")
+    norms = [row[col] for row in firstorder.scan_rows(big, path, g)]
     ratio = norms[-1] / norms[0]
     increasing = all(a < b for a, b in zip(norms, norms[1:]))
     _line(6, "resolvent norm growth ratio over 12 dyadic steps", ratio, 1e2,

@@ -210,6 +210,11 @@ def _drop(data, key):
                         "grid": {"re": [0.0, float("nan"), 3], "eps": [0.5]}}),
     ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
                         "grid": {"re": [0.0, 2.0, 3], "eps": [0.5], "rhs_decay": float("inf")}}),
+    # g = exp(-rhs_decay x) must decay: at -0.5 the norms of a non-L2 g read 4.85e8
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
+                        "grid": {"re": [0.0, 2.0, 3], "eps": [0.5], "rhs_decay": 0}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": 40.0, "n": 64}},
+                        "grid": {"re": [0.0, 2.0, 3], "eps": [0.5], "rhs_decay": -0.5}}),
     ("scan", lambda m: {"model": {"type": "friedrichs",
                                   "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
@@ -291,7 +296,8 @@ def _drop(data, key):
         "contour-misspelt-center", "example-misspelt-lam0", "firstorder-grid-misspelt-n",
         "firstorder-misspelt-b", "hainlust-poly-extra-key", "eig-hainlust-extra-key",
         "friedrichs-pole-extra-key", "friedrichs-misspelt-b", "firstorder-re-nan",
-        "firstorder-rhs-decay-inf", "friedrichs-eps-inf", "hainlust-re-minus-inf",
+        "firstorder-rhs-decay-inf", "firstorder-rhs-decay-zero",
+        "firstorder-rhs-decay-negative", "friedrichs-eps-inf", "hainlust-re-minus-inf",
         "hainlust-re-count-inf", "hainlust-eps-nan", "ex1-b-nan", "ex3-b-nan",
         "ex2-lam0-nan", "contour-hidden-nan", "contour-hidden-1x0", "friedrichs-residue-nan",
         "friedrichs-residues-short", "friedrichs-orders-long", "friedrichs-orders-empty",
@@ -439,6 +445,39 @@ def test_eig_hainlust_region(tmp_path):
     vals = json.loads(out.read_text())["eigenvalues"]
     assert len(vals) == 1
     assert abs(vals[0][0] - np.pi**2) < 1e-8
+
+
+@pytest.mark.parametrize("region, message", [
+    # the winding number counts the singular point 2 inside: it read 0 with the root 2.179
+    ([1.5, 2.5, -0.3, 0.5], "search region within 1e-3 of the singular set"),
+    # an edge through 2 that 16 samples per side missed by 0.006
+    ([2.0, 3.0, -0.31, 0.5], "search region within 1e-3 of the singular set"),
+    # 3 lies in the essential range of u but off the coupling support
+    ([2.5, 3.0, -0.3, 0.5], "search-region boundary within 1e-3 of the essential range"),
+], ids=["encloses-singular-point", "edge-through-singular-point", "edge-through-essran"])
+def test_eig_hainlust_region_meeting_the_singular_set_exits_1(tmp_path, capsys, step_model_dict,
+                                                              region, message):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": step_model_dict, "region": region})
+    assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "eig.json")]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
+    assert not (tmp_path / "eig.json").exists()
+
+
+@pytest.mark.parametrize("region, found", [
+    ([1.9, 2.1, 0.5, 1.0], []),  # above the singular point 2
+    ([2.5, 3.5, -0.3, 0.5], []),  # around the uncoupled point 3
+    ([2.05, 2.95, -0.4, 0.6], [2.178994560607486]),
+], ids=["above-singular-point", "around-uncoupled-point", "next-to-singular-point"])
+def test_eig_hainlust_region_clear_of_the_singular_set(tmp_path, step_model_dict, region, found):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": step_model_dict, "region": region})
+    out = tmp_path / "eig.json"
+    assert main(["eig", "--config", str(cfg), "--out", str(out)]) == 0
+    vals = json.loads(out.read_text())["eigenvalues"]
+    assert len(vals) == len(found)
+    for (re, im), z in zip(vals, found):
+        assert abs(re - z) < 1e-10 and abs(im) < 1e-10
 
 
 HL_COMMANDS = [("scan", {"grid": {"re": [1.5, 3.5, 5], "eps": [0.1], "fd_n": 32}}),

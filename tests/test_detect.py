@@ -13,7 +13,6 @@ from weylscope.detect import (
     SATURATION_STABLE_RUNS,
     SATURATION_START,
     SpaceSamplingSpec,
-    SubspaceBasis,
     _sample_stream,
     build_adjoint_spaces,
     build_resolvent_space,
@@ -70,8 +69,8 @@ def test_single_sample_space_dimension(ext):
     )
     t_basis = build_solution_space(ext, one)
     s_basis = build_resolvent_space(ext, one)
-    assert t_basis.dim == ext.triple.h
-    assert s_basis.dim == ext.triple.h
+    assert t_basis.shape[1] == ext.triple.h
+    assert s_basis.shape[1] == ext.triple.h
 
 
 def test_sample_in_spectrum_rejected(ext):
@@ -85,15 +84,15 @@ def test_solution_space_ignores_anchor_on_spectrum(ext):
     # the solution span never uses the anchor; the resolvent space does
     spec = SpaceSamplingSpec(anchor=complex(extension_eigenvalues(ext)[0]),
                              solution_samples=(10j,))
-    assert build_solution_space(ext, spec).dim == ext.triple.h
+    assert build_solution_space(ext, spec).shape[1] == ext.triple.h
     with pytest.raises(SampleInSpectrumError, match="anchor"):
         build_resolvent_space(ext, spec)
 
 
 def test_empty_sample_list(ext):
     spec = SpaceSamplingSpec(anchor=10j)
-    assert build_solution_space(ext, spec).dim == 0
-    assert build_resolvent_space(ext, spec).dim == 0
+    assert build_solution_space(ext, spec).shape[1] == 0
+    assert build_resolvent_space(ext, spec).shape[1] == 0
 
 
 def test_rank_saturation(ext):
@@ -105,7 +104,7 @@ def test_rank_saturation(ext):
         resolvent_samples=spec.resolvent_samples,
         solution_samples=spec.solution_samples + (7.5j, -6.0 + 2.0j, 4.0 - 5.0j),
     )
-    assert build_solution_space(ext, bigger).dim == t_basis.dim
+    assert build_solution_space(ext, bigger).shape[1] == t_basis.shape[1]
 
 
 def test_saturated_sampling_plan(ext):
@@ -172,8 +171,8 @@ def test_solution_equals_resolvent_space(ext):
     spec = saturated_sampling(ext)
     t_basis = build_solution_space(ext, spec)
     s_basis = build_resolvent_space(ext, spec)
-    assert s_basis.dim == t_basis.dim
-    assert np.max(principal_angles(s_basis.basis, t_basis.basis)) < 1e-8
+    assert s_basis.shape[1] == t_basis.shape[1]
+    assert np.max(principal_angles(s_basis, t_basis)) < 1e-8
 
 
 def test_resolvent_space_anchor_independence(ext):
@@ -186,8 +185,8 @@ def test_resolvent_space_anchor_independence(ext):
         )
         a = build_resolvent_space(ext, spec)
         b = build_resolvent_space(ext, other)
-        assert a.dim == b.dim
-        assert np.max(principal_angles(a.basis, b.basis)) < 1e-8
+        assert a.shape[1] == b.shape[1]
+        assert np.max(principal_angles(a, b)) < 1e-8
 
 
 def test_growth_hypothesis_bounded(ext):
@@ -206,8 +205,8 @@ def test_adjoint_spaces_real_model(rng):
     s_basis = build_resolvent_space(ext, spec)
     s_adj, t_adj = build_adjoint_spaces(ext, spec)
     # real data: the adjoint-side spaces coincide with the primary ones
-    assert np.max(principal_angles(s_adj.basis, s_basis.basis)) < 1e-8
-    assert np.max(principal_angles(t_adj.basis, s_basis.basis)) < 1e-8
+    assert np.max(principal_angles(s_adj, s_basis)) < 1e-8
+    assert np.max(principal_angles(t_adj, s_basis)) < 1e-8
 
 
 def test_hidden_block_spaces_avoid_hidden(hidden_ext):
@@ -215,7 +214,7 @@ def test_hidden_block_spaces_avoid_hidden(hidden_ext):
     t_basis = build_solution_space(hidden_ext, spec)
     s_adj, t_adj = build_adjoint_spaces(hidden_ext, spec)
     m_old = hidden_ext.triple.state_dim - 1  # hidden coordinate is the last one
-    for basis in (t_basis.basis, s_adj.basis, t_adj.basis):
+    for basis in (t_basis, s_adj, t_adj):
         assert np.max(np.abs(basis[m_old, :])) < 1e-10
 
 
@@ -228,7 +227,7 @@ def test_invariance_residual_saturated(ext, rng):
 
 
 def test_invariance_full_space(ext):
-    full = SubspaceBasis(basis=np.eye(ext.triple.state_dim, dtype=complex))
+    full = np.eye(ext.triple.state_dim, dtype=complex)
     assert invariance_residual(full, ext, 11.3j) < 1e-12
 
 
@@ -248,7 +247,7 @@ def test_invariance_unsaturated_space(hidden_ext):
 
 
 def test_bordered_full_space_is_resolvent(ext):
-    eye_basis = SubspaceBasis(basis=np.eye(ext.triple.state_dim, dtype=complex))
+    eye_basis = np.eye(ext.triple.state_dim, dtype=complex)
     lam = 9.0 + 9.0j
     _, rv = resolvent_matrices(ext, lam)
     np.testing.assert_allclose(bordered_resolvent(ext, lam, eye_basis, eye_basis), rv)
@@ -335,8 +334,8 @@ def test_saturated_space_independent_of_bparam_observation(rng):
     ext_b = random_extension(rng, tr)
     space_a = build_solution_space(ext_a, saturated_sampling(ext_a))
     space_b = build_solution_space(ext_b, saturated_sampling(ext_b))
-    assert space_a.dim == space_b.dim
-    assert np.max(principal_angles(space_a.basis, space_b.basis)) < 1e-8
+    assert space_a.shape[1] == space_b.shape[1]
+    assert np.max(principal_angles(space_a, space_b)) < 1e-8
 
 
 def test_detection_record_fields(hidden_ext):
@@ -381,7 +380,7 @@ def test_detection_record_builds_only_s_and_s_adjoint(hidden_ext, solve_calls):
     assert rec["residual_bordered"] == morera_residual(hidden_ext, contour, s_adj, s_basis)
     assert rec["residual_full"] == matrix_norm2(full_contour_integral(hidden_ext, contour))
     # T and Tadj, the solution-space dims, are not reported yet
-    assert rec["dims"] == {"S": s_basis.dim, "T": None, "Sadj": s_adj.dim, "Tadj": None}
+    assert rec["dims"] == {"S": s_basis.shape[1], "T": None, "Sadj": s_adj.shape[1], "Tadj": None}
 
 
 @pytest.mark.parametrize("state_dim, hidden", [(6, None), (30, None), (4, 25.0)],
@@ -395,10 +394,10 @@ def test_saturated_spaces_equal_the_builders_bit_for_bit(state_dim, hidden, solv
     spec, t_cols, (s_space, shifted) = saturated_spaces(ext, (0.0, 2.3j))
     assert len(solve_calls) == len(spec.solution_samples) + 2
     assert spec == saturated_sampling(ext)
-    assert np.array_equal(orthonormal_basis(t_cols), build_solution_space(ext, spec).basis)
-    assert np.array_equal(s_space.basis, build_resolvent_space(ext, spec).basis)
+    assert np.array_equal(orthonormal_basis(t_cols), build_solution_space(ext, spec))
+    assert np.array_equal(s_space, build_resolvent_space(ext, spec))
     moved = dataclasses.replace(spec, anchor=spec.anchor + 2.3j)
-    assert np.array_equal(shifted.basis, build_resolvent_space(ext, moved).basis)
+    assert np.array_equal(shifted, build_resolvent_space(ext, moved))
 
 
 def _reference_plan(ext):

@@ -4,9 +4,9 @@ import pytest
 from weylscope.errors import BadMuError, UpperHalfPlaneError
 from weylscope.firstorder import (
     _BLOCK,
+    SCAN_HEADER,
     FOModel,
     HalfLineGrid,
-    blowup_scan,
     density_residual,
     m_value,
     resolvent,
@@ -16,16 +16,12 @@ from weylscope.firstorder import (
 
 @pytest.fixture
 def model():
-    return FOModel(bparam=2.0, grid=HalfLineGrid(length=40.0, n=4096))
+    return FOModel(grid=HalfLineGrid(length=40.0, n=4096))
 
 
 def test_m_identically_zero(model):
     for lam in (1 + 1j, -5j, 0.3 - 0.7j, 100.0 + 0.001j):
         assert m_value(model, lam) == 0.0
-
-
-def test_m_adjoint_side(model):
-    assert m_value(model, 1j, adjoint=True) == pytest.approx(-0.5)
 
 
 def test_resolvent_zero_rhs(model):
@@ -42,7 +38,7 @@ def test_resolvent_boundary_value_exact(model):
 def test_resolvent_closed_form_generic():
     # g = e^{-x}, lam = -2i: f = -i (e^{-x} - e^{-i lam x}) / (i lam - 1);
     # the larger |lam| needs a finer grid for the same pointwise accuracy
-    m = FOModel(bparam=1.0, grid=HalfLineGrid(length=40.0, n=8192))
+    m = FOModel(grid=HalfLineGrid(length=40.0, n=8192))
     x = m.grid.nodes
     lam = -2j
     f = resolvent(m, lam, np.exp(-x))
@@ -64,7 +60,7 @@ def test_resolvent_ode_residual_second_order(model):
     errs = []
     for n in (512, 1024, 2048):
         grid = HalfLineGrid(length=20.0, n=n)
-        m = FOModel(bparam=1.0, grid=grid)
+        m = FOModel(grid=grid)
         x = grid.nodes
         g = np.exp(-x) * np.sin(x)
         f = resolvent(m, lam, g)
@@ -102,7 +98,7 @@ def _stepped_resolvent(model, lam, g):
 def test_resolvent_bit_identical_to_stepped_recursion(n, lam):
     # near the axis (|prop| ~ 1) and deep in the lower half plane (prop ~ 0);
     # the odd n spans two full blocks of local terms and a partial one
-    model = FOModel(bparam=1.0, grid=HalfLineGrid(length=40.0, n=n))
+    model = FOModel(grid=HalfLineGrid(length=40.0, n=n))
     x = model.grid.nodes
     rng = np.random.default_rng(n)
     for g in (np.exp(-x), np.exp((-0.5 + 2j) * x),
@@ -146,12 +142,18 @@ def test_density_rejects_bad_mu(model):
         density_residual(model, np.exp(-model.grid.nodes), [0.5j])
 
 
+def _scan_norms(model, path, g):
+    """The resolvent_norm column of scan_rows."""
+    col = SCAN_HEADER.index("resolvent_norm")
+    return [row[col] for row in scan_rows(model, path, g)]
+
+
 def test_blowup_scan_growth():
     grid = HalfLineGrid(length=4096.0, n=65536)
-    model = FOModel(bparam=1.0, grid=grid)
+    model = FOModel(grid=grid)
     g = np.exp(-0.05 * grid.nodes)
     path = [0.0 - 1j * 2.0 ** (-j) for j in range(1, 13)]
-    norms = blowup_scan(model, path, g)
+    norms = _scan_norms(model, path, g)
     assert all(a < b for a, b in zip(norms, norms[1:]))
     assert norms[-1] / norms[0] > 1e2
 
@@ -160,18 +162,18 @@ def test_blowup_scan_plain_exponential_strictly_grows():
     # with g = e^{-x} the norms grow without bound but the 12-step ratio
     # saturates near 55 (the 1/sqrt(2 Im lam) rate), short of 100
     grid = HalfLineGrid(length=16384.0, n=65536)
-    model = FOModel(bparam=1.0, grid=grid)
+    model = FOModel(grid=grid)
     g = np.exp(-grid.nodes)
     path = [0.0 - 1j * 2.0 ** (-j) for j in range(1, 13)]
-    norms = blowup_scan(model, path, g)
+    norms = _scan_norms(model, path, g)
     assert all(a < b for a, b in zip(norms, norms[1:]))
     assert norms[-1] / norms[0] > 30.0
 
 
 def test_blowup_scan_zero_rhs(model):
     path = [-1j * 2.0 ** (-j) for j in range(1, 6)]
-    norms = blowup_scan(model, path, np.zeros(model.grid.n))
-    assert all(v == 0.0 for v in norms)
+    for lam in path:
+        assert model.grid.norm(resolvent(model, lam, np.zeros(model.grid.n))) == 0.0
 
 
 def test_bounded_path_norm_estimate(model):

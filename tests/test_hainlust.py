@@ -376,12 +376,6 @@ def test_eigenvalues_split_along_the_imaginary_axis():
         assert abs(f - (j * np.pi) ** 2) < 1e-8
 
 
-def test_nudge_cut_moves_a_cut_off_the_singular_set():
-    # a cut on the singular point 2 moves right by 0.013 widths, which clears it
-    assert hainlust._nudge_cut(2.0, 1.0, [(2.0, 2.0)]) == 2.0 + 0.013
-    assert hainlust._nudge_cut(2.5, 1.0, [(2.0, 2.0)]) == 2.5
-
-
 def test_real_axis_zero_two_sided_agreement():
     from weylscope.hainlust import real_axis_zero
 

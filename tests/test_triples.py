@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from weylscope.triples import (
     resolvent_apply,
     resolvent_matrices,
     solution_basis,
-    solution_operator,
     spectrum_distance,
     triple_from_dict,
     triple_to_dict,
@@ -267,7 +267,7 @@ def test_resolvent_rejects_spectrum(rng, ext):
         resolvent_apply(ext, complex(lam), np.ones(ext.triple.state_dim))
 
 
-def test_resolvent_rejects_an_exactly_singular_system():
+def test_resolvent_rejects_an_exactly_singular_system(monkeypatch):
     # at an eigenvalue of a diagonal action the stacked system has a zero pivot,
     # so the solve itself fails
     empty = np.zeros((0, 3))
@@ -276,6 +276,13 @@ def test_resolvent_rejects_an_exactly_singular_system():
         np.linalg.solve(ext.triple.action - 2.0 * np.eye(3), np.eye(3))
     with pytest.raises(LambdaInSpectrumError):
         resolvent_matrices(ext, 2.0)
+    # an inverse that is not finite fails the condition gate, without a warning
+    for bad in (np.nan, np.inf):
+        monkeypatch.setattr(np.linalg, "inv", lambda mat, bad=bad: np.full(mat.shape, bad + 0j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LambdaInSpectrumError):
+                resolvent_matrices(ext, 5.0)
 
 
 def _jordan_extension():
@@ -346,7 +353,7 @@ def test_resolvent_matches_operator_inverse(rng, ext):
 
 def test_solution_zero_data(rng, ext):
     lam = _safe_lambda(ext, rng)
-    y = solution_operator(ext, lam, np.zeros(ext.triple.h))
+    y = solution_basis(ext, lam) @ np.zeros(ext.triple.h)
     assert np.linalg.norm(y) < 1e-14
 
 
@@ -355,7 +362,7 @@ def test_solution_defining_equations(rng, ext):
     for _ in range(5):
         lam = _safe_lambda(ext, rng)
         f = _rand_vec(rng, tr.h)
-        y = solution_operator(ext, lam, f)
+        y = solution_basis(ext, lam) @ f
         assert np.linalg.norm(tr.action @ y - lam * y[: tr.state_dim]) < 1e-10
         assert np.linalg.norm(ext.constraint @ y - f) < 1e-10
 
@@ -366,7 +373,7 @@ def test_solution_lift_independence(rng, ext):
     tr = ext.triple
     lam = _safe_lambda(ext, rng)
     f = _rand_vec(rng, tr.h)
-    y = solution_operator(ext, lam, f)
+    y = solution_basis(ext, lam) @ f
     for _ in range(2):
         w = np.linalg.lstsq(ext.constraint, f, rcond=None)[0]
         w = w + extension_matrix(ext)[0] @ _rand_vec(rng, tr.dom_dim - tr.h)
@@ -405,7 +412,7 @@ def test_solution_operator_analytic(rng, ext):
     radius = 0.25 * min(abs(e - center) for e in eigs)
     f = _rand_vec(rng, ext.triple.h)
     spec = ContourSpec(center=center, radius=radius, nodes=32)
-    val = contour_integral(lambda z: solution_operator(ext, z, f), spec)
+    val = contour_integral(lambda z: solution_basis(ext, z) @ f, spec)
     assert np.linalg.norm(val) < 1e-8
 
 
@@ -425,7 +432,7 @@ def test_m_function_definition(rng, ext):
     m = m_function(ext, lam)
     for _ in range(20):
         f = _rand_vec(rng, tr.h)
-        u = solution_operator(ext, lam, f)  # kernel element with data f
+        u = solution_basis(ext, lam) @ f  # kernel element with data f
         assert np.linalg.norm(m @ (ext.constraint @ u) - tr.bnd2 @ u) < 1e-9
 
 
