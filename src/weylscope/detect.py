@@ -35,7 +35,6 @@ from .triples import (
     _stacked_inverse,
     adjoint_extension,
     extension_eigenvalues,
-    extension_operator,
     resolvent_matrices,
     solution_basis,
     spectrum_distance,
@@ -187,40 +186,14 @@ def invariance_residual(q: np.ndarray, ext: Extension, mu: complex) -> float:
     return matrix_norm2(rp - q @ (q.conj().T @ rp))
 
 
-def _compress(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left^H mat right: a state-space operator compressed between two spaces."""
-    return left.conj().T @ mat @ right
-
-
-def _bordered_norm(full: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """Norm of a contour integral compressed between the two spaces."""
-    return matrix_norm2(_compress(full, left, right))
-
-
-def bordered_resolvent(ext: Extension, lam: complex, left: np.ndarray,
-                       right: np.ndarray) -> np.ndarray:
-    """S~^H R(lam) S: the resolvent compressed between the adjoint-side and primary-side spaces."""
-    _, rv = resolvent_matrices(ext, lam)
-    return _compress(rv, left, right)
-
-
-def morera_residual(ext: Extension, contour: ContourSpec, left: np.ndarray,
-                    right: np.ndarray) -> float:
-    """Norm of the contour integral of the bordered resolvent.
-
-    Vanishes (geometrically in the node count) exactly when the bordered
-    resolvent is analytic inside the contour.  By linearity it is the
-    compression of full_contour_integral, whose nodes must keep a
-    clearance (CONTOUR_CLEARANCE) from the spectrum.
-    """
-    return _bordered_norm(full_contour_integral(ext, contour), left, right)
-
-
 def full_contour_integral(ext: Extension, contour: ContourSpec) -> np.ndarray:
     """Contour integral of the uncompressed state-space resolvent.
 
-    Raises ContourHitsSpectrumError when a node lies within
-    CONTOUR_CLEARANCE of the spectrum.
+    Its compression S~^H (this) S, by linearity the contour integral of the
+    bordered resolvent, vanishes (geometrically in the node count) exactly
+    when the bordered resolvent is analytic inside the contour: that norm
+    is the Morera residual.  Raises ContourHitsSpectrumError when a node
+    lies within CONTOUR_CLEARANCE of the spectrum.
     """
     for z in contour.points():
         if spectrum_distance(ext, z) <= CONTOUR_CLEARANCE:
@@ -228,22 +201,6 @@ def full_contour_integral(ext: Extension, contour: ContourSpec) -> np.ndarray:
                 f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum"
             )
     return contour_integral(lambda z: resolvent_matrices(ext, z)[1], contour)
-
-
-def spectral_projection(ext: Extension, contour: ContourSpec) -> np.ndarray:
-    """Oracle projection onto the eigenspaces enclosed by the contour.
-
-    Built from the dense eigendecomposition of the restriction, independent
-    of any contour quadrature.
-    """
-    op = extension_operator(ext)
-    vals, vecs = np.linalg.eig(op)
-    inside = np.abs(vals - contour.center) < contour.radius
-    if not np.any(inside):
-        return np.zeros_like(op)
-    v_in = vecs[:, inside]
-    wl = np.linalg.inv(vecs)[inside, :]
-    return v_in @ wl
 
 
 def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> dict:
@@ -263,7 +220,7 @@ def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> di
             "radius": contour.radius,
             "nodes": contour.nodes,
         },
-        "residual_bordered": _bordered_norm(full, s_adj, s_space),
+        "residual_bordered": matrix_norm2(s_adj.conj().T @ full @ s_space),
         "residual_full": matrix_norm2(full),
         # T and Tadj, the solution-space dims, stay null until ROADMAP item 2 fills T
         "dims": {"S": s_space.shape[1], "T": None, "Sadj": s_adj.shape[1], "Tadj": None},

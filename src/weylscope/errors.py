@@ -14,7 +14,7 @@ class DimensionMismatchError(WeylScopeError):
 
 
 class SlowDecayError(WeylScopeError):
-    """Integrand does not decay fast enough for the whole-line quadrature."""
+    """Integrand does not decay fast enough for a whole-line integral."""
 
 
 class RankDeficientBoundaryError(WeylScopeError):

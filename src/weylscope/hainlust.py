@@ -50,14 +50,15 @@ SCAN_SINGULAR_GUARD = 1e-3 - 1e-15
 # _winding: boundary samples per rectangle side, bisection cap per boundary
 WINDING_PER_SIDE = 32
 WINDING_MAX_REFINE = 4000
-# root location: ODE tolerance, subdivision depth cap, Newton iteration cap,
-# and the two-sided agreement real_axis_zero requires
+# root location: ODE tolerance, subdivision depth cap, Newton iteration cap
 ROOT_ODE_TOL = 1e-11
 ROOT_MAX_DEPTH = 40
 NEWTON_MAX_ITER = 60
+# a horizontal cut lies this irrational fraction of the way up: it misses the
+# real axis of a region symmetric about it, where real coefficients put the eigenvalues
+HORIZONTAL_CUT = 0.5236067977499790
 # above this Re(s h) a constant piece's transfer is carried scaled by e^(-Re(s h))
 RESCALE_EXPONENT = 700.0
-REAL_ZERO_AGREEMENT = 1e-6
 
 
 # ----------------------------------------------------------- piecewise pieces
@@ -526,7 +527,9 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     ContourHitsEssranError.  Located zeros are polished to 1e-10 and the
     final count is checked against the winding number of the whole region.
     A Newton run that does not converge counts as a miss: the rectangle is
-    subdivided, down to ROOT_MAX_DEPTH levels.  Raises ValueError unless
+    subdivided, down to ROOT_MAX_DEPTH levels, across its longer edge, at
+    the midpoint of a horizontal edge or HORIZONTAL_CUT of the way up a
+    vertical one.  Raises ValueError unless
     re_lo < re_hi and im_lo < im_hi.
     """
     _check_region(re_lo, re_hi, im_lo, im_hi)
@@ -570,7 +573,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
             cut = 0.5 * (rlo + rhi)
             subs = [(rlo, cut, ilo, ihi), (cut, rhi, ilo, ihi)]
         else:
-            cut = 0.5 * (ilo + ihi)
+            cut = ilo + HORIZONTAL_CUT * (ihi - ilo)
             subs = [(rlo, rhi, ilo, cut), (rlo, rhi, cut, ihi)]
         for sub in subs:
             c = _winding(model, sub, tol)
@@ -591,28 +594,6 @@ def _dedupe(roots):
         if all(abs(r - s) > 1e-7 * max(1.0, abs(r)) for s in out):
             out.append(r)
     return out
-
-
-def real_axis_zero(model: HLModel, x0: float) -> float:
-    """Polish a real-axis denominator zero approached from both half planes.
-
-    Newton runs separately from x0 + i eps and x0 - i eps; the zero is
-    reported only when both runs converge and the two limits agree to
-    REAL_ZERO_AGREEMENT, which is the guard needed before calling a real
-    point (possibly inside the essential range of the multiplier) an
-    eigenvalue.  Raises NoConvergenceError otherwise.
-    """
-    eps = 1e-4
-    upper = _newton_polish(model, complex(x0, eps), ROOT_ODE_TOL)
-    lower = _newton_polish(model, complex(x0, -eps), ROOT_ODE_TOL)
-    if abs(upper - lower) > REAL_ZERO_AGREEMENT:
-        raise NoConvergenceError(
-            f"two-sided limits disagree: {upper} vs {lower}"
-        )
-    root = 0.5 * (upper + lower)
-    if abs(root.imag) > REAL_ZERO_AGREEMENT:
-        raise NoConvergenceError(f"polished zero {root} is not real")
-    return float(root.real)
 
 
 # ----------------------------------------------------------- discretization
@@ -772,10 +753,3 @@ def reducing_residual(model: HLModel, lam: complex, n: int, mask_override=None) 
     off = (1.0 - p)[:, None] * r * p[None, :]
     off2 = p[:, None] * r * (1.0 - p)[None, :]
     return float(matrix_norm2(off) + matrix_norm2(off2))
-
-
-def schroedinger_block_resolvent(model: HLModel, lam: complex, n: int) -> np.ndarray:
-    """Resolvent of the scalar Schroedinger block alone (oracle for w = 0)."""
-    mat, meta = discretize(model, n)
-    npts = meta["nodes"].size
-    return _resolvent_dense(mat[:npts, :npts], lam)

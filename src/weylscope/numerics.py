@@ -1,4 +1,4 @@
-"""Dense complex linear algebra, contour and whole-line quadrature kernels.
+"""Dense complex linear algebra and contour quadrature kernels.
 
 Everything here is pure: no shared mutable state, safe to call concurrently.
 """
@@ -8,12 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import DimensionMismatchError, SlowDecayError
+from .errors import DimensionMismatchError
 
 DEFAULT_RANK_TOL = 1e-10
-DEFAULT_LINE_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -113,32 +111,6 @@ def contour_integral(f, contour: ContourSpec):
         term = val * (1j * (z - contour.center))
         total = term if total is None else total + term
     return total * (2.0 * np.pi / contour.nodes)
-
-
-def real_line_quadrature(f, decay_order: int) -> complex:
-    """Integral of f over the whole real line by tan-substitution Gauss-Legendre.
-
-    f must decay like |x|^(-decay_order) with decay_order >= 2.  The line is
-    split at 0 into two panels of DEFAULT_LINE_NODES / 2 nodes each, so
-    integrands with a kink at the origin (the regularized boundary
-    functionals) keep spectral accuracy.  f is called once per panel on the
-    node array and must return an array of its shape (ValueError otherwise);
-    exceptions raised by f propagate unchanged.
-    """
-    if decay_order < 2:
-        raise SlowDecayError(f"decay order {decay_order} < 2")
-    base, weights = leggauss(DEFAULT_LINE_NODES // 2)
-    total = 0.0 + 0.0j
-    for lo, hi in ((-np.pi / 2, 0.0), (0.0, np.pi / 2)):
-        theta = 0.5 * (hi - lo) * base + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights
-        x = np.tan(theta)
-        jac = 1.0 / np.cos(theta) ** 2
-        vals = np.asarray(f(x), dtype=complex)
-        if vals.shape != x.shape:
-            raise ValueError(f"integrand returned shape {vals.shape} for nodes {x.shape}")
-        total += np.sum(vals * jac * w)
-    return complex(total)
 
 
 def matrix_norm2(a) -> float:

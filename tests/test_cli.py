@@ -468,7 +468,10 @@ def test_eig_hainlust_region_meeting_the_singular_set_exits_1(tmp_path, capsys, 
     ([1.9, 2.1, 0.5, 1.0], []),  # above the singular point 2
     ([2.5, 3.5, -0.3, 0.5], []),  # around the uncoupled point 3
     ([2.05, 2.95, -0.4, 0.6], [2.178994560607486]),
-], ids=["above-singular-point", "around-uncoupled-point", "next-to-singular-point"])
+    # taller than wide: a midpoint cut fell on Im = 0, through the eigenvalue
+    ([2.05, 2.95, -0.5, 0.5], [2.178994560607486]),
+], ids=["above-singular-point", "around-uncoupled-point", "next-to-singular-point",
+        "symmetric-about-the-axis"])
 def test_eig_hainlust_region_clear_of_the_singular_set(tmp_path, step_model_dict, region, found):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"model": step_model_dict, "region": region})

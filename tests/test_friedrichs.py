@@ -30,7 +30,8 @@ from weylscope.friedrichs import (
     model_from_dict,
     perturbation_determinant,
 )
-from weylscope.numerics import real_line_quadrature
+
+from oracles import real_line_quadrature
 
 
 def simple(pole, residue=1.0, order=1):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylscope import hainlust
 from weylscope.errors import (
@@ -21,9 +23,10 @@ from weylscope.hainlust import (
     model_from_dict,
     reducing_residual,
     scan_rows,
-    schroedinger_block_resolvent,
     shoot,
 )
+
+from oracles import schroedinger_block_resolvent
 
 HALF_PI = np.pi / 2.0
 
@@ -89,6 +92,13 @@ def test_essran_joins_ranges_that_touch():
 def test_piecewise_poly_covers_unit_interval_with_nonempty_pieces(breaks, coeffs):
     with pytest.raises(ValueError):
         PiecewisePoly(breaks=breaks, coeffs=coeffs)
+
+
+def test_piece_index_is_right_continuous_and_clamped():
+    poly = PiecewisePoly(breaks=(0.0, 0.25, 0.5, 1.0), coeffs=((0.0,), (1.0,), (2.0,)))
+    points = [0.0, 0.25, 0.5, 1.0, -0.1, 1.1, np.nan, np.inf, -np.inf, np.float64(0.25),
+              0.1, 0.3, 0.75]
+    assert [poly.piece_index(x) for x in points] == [0, 1, 2, 2, 0, 2, 2, 2, 0, 1, 0, 1, 2]
 
 
 def test_interval_distance():
@@ -376,18 +386,21 @@ def test_eigenvalues_split_along_the_imaginary_axis():
         assert abs(f - (j * np.pi) ** 2) < 1e-8
 
 
-def test_real_axis_zero_two_sided_agreement():
-    from weylscope.hainlust import real_axis_zero
-
-    model = free_model(u_value=5.0)
-    root = real_axis_zero(model, 9.5)
-    assert abs(root - np.pi**2) < 1e-9
-
-
-def test_real_axis_zero_raises_when_newton_stalls(monkeypatch):
+def test_eigenvalues_in_gives_up_when_newton_stalls(monkeypatch):
+    # a Newton run that stops at its iteration cap is a miss: the search
+    # subdivides instead of reporting the unpolished point, down to the depth cap
     monkeypatch.setattr(hainlust, "NEWTON_MAX_ITER", 1)
-    with pytest.raises(NoConvergenceError, match="Newton"):
-        hainlust.real_axis_zero(free_model(u_value=5.0), 9.5)
+    monkeypatch.setattr(hainlust, "ROOT_MAX_DEPTH", 2)
+    with pytest.raises(NoConvergenceError, match="could not isolate zero"):
+        eigenvalues_in(free_model(u_value=5.0), 9.5, 10.5, -0.5, 0.5)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.floats(2.01, 2.17), st.floats(2.19, 2.99), st.floats(0.05, 1.0))
+def test_eigenvalues_in_regions_symmetric_about_the_axis(re_lo, re_hi, half):
+    # a horizontal cut must not fall on Im = 0, where the eigenvalue lies
+    (found,) = eigenvalues_in(step_model(), re_lo, re_hi, -half, half)
+    assert abs(found - 2.178994560607486) < 1e-10
 
 
 def test_eigenvalues_complex_coefficients():

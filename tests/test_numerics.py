@@ -13,8 +13,9 @@ from weylscope.numerics import (
     matrix_norm2,
     orthonormal_basis,
     principal_angles,
-    real_line_quadrature,
 )
+
+from oracles import real_line_quadrature
 
 
 def test_orthonormal_basis_rank_one():
