@@ -142,9 +142,9 @@ def _config(**keys):
     return {"seed": (SEED, DEFAULT_SEED), **keys}
 
 
-def _scan(model, re, eps, eps_kind=FLOAT, **extra):
-    """A scan config: the model, and a grid of re = [lo, hi, count] and eps values."""
-    grid = {"re": ((FLOAT, FLOAT, integer(1)), re), "eps": (nonempty(eps_kind), eps), **extra}
+def _scan(model, re, eps, **extra):
+    """A scan config: the model, and a grid of re = [lo, hi, count] and nonzero eps values."""
+    grid = {"re": ((FLOAT, FLOAT, integer(1)), re), "eps": (nonempty(NONZERO), eps), **extra}
     return _config(model=(MODELS[model], REQUIRED), grid=(grid, {}))
 
 
@@ -167,14 +167,14 @@ MODELS = {
                   **dict.fromkeys(("action", "action_adj", "bnd1", "bnd2", "adj_bnd1",
                                    "adj_bnd2"), (ANY, REQUIRED))},
 }
-# one per command; the friedrichs and firstorder resolvents need nonzero eps
+# one per command; every scan's resolvents need nonzero eps
 SCHEMAS = {
     "check": _config(triple=(PATH, None)),
     "scan": select(_model_type, {
         "hainlust": _scan("hainlust", [0.0, 5.0, 20], [1e-1, 1e-2, 1e-3],
                           fd_n=(integer(hainlust.MIN_FD_N), 128)),
-        "friedrichs": _scan("friedrichs", [-3.0, 3.0, 25], [1e-1, 1e-2, 1e-3], NONZERO),
-        "firstorder": _scan("firstorder", [0.0, 2.0, 10], [0.5, 0.125, 0.03125], NONZERO,
+        "friedrichs": _scan("friedrichs", [-3.0, 3.0, 25], [1e-1, 1e-2, 1e-3]),
+        "firstorder": _scan("firstorder", [0.0, 2.0, 10], [0.5, 0.125, 0.03125],
                             rhs_decay=(POSITIVE, 1.0)),
     }, "model type"),
     "eig": select(_model_type, {

@@ -395,17 +395,17 @@ def _robin_at_1(model: HLModel, y: complex, dy: complex) -> complex:
     return dy + (1.0 / np.tan(model.beta)) * y
 
 
-def bc_denominator(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> complex:
-    """The boundary-condition denominator whose zeros are the eigenvalues.
+def bc_denominator(model: HLModel, lam: complex) -> complex:
+    """The boundary-condition denominator whose zeros are the eigenvalues, shot at ROOT_ODE_TOL.
 
     Where the shoot rescaled, it is e^(-log_scale) times the denominator:
     the zeros and the argument that _winding follows are unchanged.
     """
-    res = shoot(model, lam, tol)
+    res = shoot(model, lam, ROOT_ODE_TOL)
     return _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
 
 
-def _shoot_m(model: HLModel, lam: complex, tol: float):
+def _shoot_m(model: HLModel, lam: complex):
     """Shoot once at lam; return the 2x2 M-matrix and |boundary denominator|.
 
     Where the shoot rescaled, m11 and m22 are ratios of values at one scale,
@@ -413,7 +413,7 @@ def _shoot_m(model: HLModel, lam: complex, tol: float):
     and |den| is reported as inf: it lies beyond e^RESCALE_EXPONENT times the
     stored one.
     """
-    res = shoot(model, lam, tol)
+    res = shoot(model, lam)
     den = _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
     if abs(den) < 1e-12 * math.exp(-res.log_scale):
         raise AtEigenvalueError(f"boundary denominator vanishes at lam={lam}")
@@ -427,19 +427,19 @@ def _shoot_m(model: HLModel, lam: complex, tol: float):
     return np.array([[m11, m12], [m12, m22]], dtype=complex), den_abs
 
 
-def m_matrix(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> np.ndarray:
+def m_matrix(model: HLModel, lam: complex) -> np.ndarray:
     """The symmetric 2x2 M-matrix at lam.
 
     Raises AtEigenvalueError when the shared denominator vanishes, i.e.
     exactly when lam is an eigenvalue of the restriction.
     """
-    return _shoot_m(model, lam, tol)[0]
+    return _shoot_m(model, lam)[0]
 
 
 # -------------------------------------------------------- eigenvalue location
 
 
-def _boundary_path(re_lo, re_hi, im_lo, im_hi, per_side):
+def _boundary_path(re_lo, re_hi, im_lo, im_hi):
     corners = [
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
@@ -448,13 +448,13 @@ def _boundary_path(re_lo, re_hi, im_lo, im_hi, per_side):
     ]
     pts = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        for t in np.linspace(0.0, 1.0, per_side, endpoint=False):
+        for t in np.linspace(0.0, 1.0, WINDING_PER_SIDE, endpoint=False):
             pts.append(a + t * (b - a))
     pts.append(corners[0])
     return pts
 
 
-def _winding(model, rect, tol):
+def _winding(model, rect):
     """Winding number of the denominator along the rectangle boundary.
 
     Phase increments above pi/2 trigger bisection of the offending segment,
@@ -463,8 +463,8 @@ def _winding(model, rect, tol):
     WINDING_MAX_REFINE bisections.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    pts = _boundary_path(re_lo, re_hi, im_lo, im_hi, WINDING_PER_SIDE)
-    vals = [bc_denominator(model, z, tol) for z in pts]
+    pts = _boundary_path(re_lo, re_hi, im_lo, im_hi)
+    vals = [bc_denominator(model, z) for z in pts]
     total = 0.0
     i = 0
     refinements = 0
@@ -480,7 +480,7 @@ def _winding(model, rect, tol):
                 )
             mid = 0.5 * (pts[i] + pts[i + 1])
             pts.insert(i + 1, mid)
-            vals.insert(i + 1, bc_denominator(model, mid, tol))
+            vals.insert(i + 1, bc_denominator(model, mid))
             refinements += 1
             continue
         total += dphi
@@ -491,7 +491,7 @@ def _winding(model, rect, tol):
     return int(round(count))
 
 
-def _newton_polish(model, lam, tol):
+def _newton_polish(model, lam):
     """Newton on the denominator with a central-difference derivative.
 
     Raises NoConvergenceError when the derivative vanishes or the step has
@@ -499,9 +499,9 @@ def _newton_polish(model, lam, tol):
     """
     step_scale = 1e-6
     for _ in range(NEWTON_MAX_ITER):
-        f0 = bc_denominator(model, lam, tol)
+        f0 = bc_denominator(model, lam)
         h = step_scale * max(1.0, abs(lam))
-        fp = (bc_denominator(model, lam + h, tol) - bc_denominator(model, lam - h, tol)) / (2 * h)
+        fp = (bc_denominator(model, lam + h) - bc_denominator(model, lam - h)) / (2 * h)
         if fp == 0:
             raise NoConvergenceError(f"zero derivative in Newton at lam={lam}")
         delta = f0 / fp
@@ -533,7 +533,6 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     re_lo < re_hi and im_lo < im_hi.
     """
     _check_region(re_lo, re_hi, im_lo, im_hi)
-    tol = ROOT_ODE_TOL
     if _rect_distance(re_lo, re_hi, im_lo, im_hi, model.essran_on_support()) <= 1e-3:
         raise ContourHitsEssranError("search region within 1e-3 of the singular set")
     edges = [(re_lo, re_hi, im_lo, im_lo), (re_lo, re_hi, im_hi, im_hi),
@@ -543,7 +542,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
             "search-region boundary within 1e-3 of the essential range"
         )
 
-    total = _winding(model, (re_lo, re_hi, im_lo, im_hi), tol)
+    total = _winding(model, (re_lo, re_hi, im_lo, im_hi))
     roots: list[complex] = []
     stack = [((re_lo, re_hi, im_lo, im_hi), total, 0)]
     while stack:
@@ -555,13 +554,13 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
         if count == 1 or diag < 1e-3:
             seed = complex(0.5 * (rlo + rhi), 0.5 * (ilo + ihi))
             try:
-                root = _newton_polish(model, seed, tol)
+                root = _newton_polish(model, seed)
             except NoConvergenceError:
                 root = None
             ok = root is not None and (
                 rlo - 1e-6 <= root.real <= rhi + 1e-6
                 and ilo - 1e-6 <= root.imag <= ihi + 1e-6
-                and abs(bc_denominator(model, root, tol)) < 1e-9
+                and abs(bc_denominator(model, root)) < 1e-9
             )
             if ok and count == 1:
                 roots.append(root)
@@ -576,7 +575,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
             cut = ilo + HORIZONTAL_CUT * (ihi - ilo)
             subs = [(rlo, rhi, ilo, cut), (rlo, rhi, cut, ihi)]
         for sub in subs:
-            c = _winding(model, sub, tol)
+            c = _winding(model, sub)
             if c:
                 stack.append((sub, c, depth + 1))
 
@@ -723,7 +722,7 @@ def scan_rows(model: HLModel, re_points, eps_values, n: int):
         for eps in eps_values:
             jumps = jump_norms(complex(x0, abs(eps))) or (np.nan, np.nan)
             try:
-                m, den_abs = _shoot_m(model, complex(x0, eps), DEFAULT_ODE_TOL)
+                m, den_abs = _shoot_m(model, complex(x0, eps))
                 mvals = m.ravel()
             except WeylScopeError:
                 mvals, den_abs = (nan,) * 4, np.nan

@@ -38,15 +38,13 @@ class ContourSpec:
 
 
 def orthonormal_basis(columns) -> np.ndarray:
-    """Orthonormal basis of the numerical column span at relative cutoff DEFAULT_RANK_TOL.
+    """Orthonormal basis of the column span of a 2-D array at relative cutoff DEFAULT_RANK_TOL.
 
     Empty input yields an n x 0 matrix.  The singular-value cutoff is
     relative to the largest singular value, which keeps detected dimensions
     stable under sampling noise.
     """
     cols = np.asarray(columns, dtype=complex)
-    if cols.ndim == 1:
-        cols = cols[:, None]
     if cols.shape[1] == 0 or cols.shape[0] == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)

@@ -42,7 +42,7 @@ from .errors import (
     LambdaInSpectrumError,
     RankDeficientBoundaryError,
 )
-from .numerics import DEFAULT_RANK_TOL, matrix_norm2, orthonormal_basis
+from .numerics import DEFAULT_RANK_TOL, matrix_norm2
 
 SPECTRUM_RCOND = 1e-10
 
@@ -571,15 +571,12 @@ def random_triple(rng, state_dim: int, h: int, k: int, real: bool = False) -> Fi
         raise ValueError(f"need h, k <= state_dim = {state_dim}, got h = {h}, k = {k}")
     n = state_dim + h
     nt = state_dim + k
-    while True:
-        action = _random_matrix(rng, state_dim, n, real)
-        bnd1 = _random_matrix(rng, h, n, real)
-        bnd2 = _random_matrix(rng, k, n, real)
-        adj_bnd1 = _random_matrix(rng, k, nt, real)
-        try:
-            return make_triple(action, bnd1, bnd2, adj_bnd1)
-        except RankDeficientBoundaryError:  # pragma: no cover - measure zero once h, k <= state_dim
-            continue
+    # a rank-deficient draw, which make_triple refuses, has probability zero
+    action = _random_matrix(rng, state_dim, n, real)
+    bnd1 = _random_matrix(rng, h, n, real)
+    bnd2 = _random_matrix(rng, k, n, real)
+    adj_bnd1 = _random_matrix(rng, k, nt, real)
+    return make_triple(action, bnd1, bnd2, adj_bnd1)
 
 
 def random_extension(rng, tr: FiniteTriple, real: bool = False) -> Extension:

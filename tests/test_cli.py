@@ -267,6 +267,8 @@ def _drop(data, key):
                                   "phi": {"poles": [[0.0, -1.0]], "residues": [[1.0, 0.0]]},
                                   "psi": {"poles": [[0.0, -2.0]], "residues": [[1.0, 0.0]]}},
                         "grid": {"re": [-1.0, 1.0, 3], "eps": [0.0]}}),
+    # the step model's jumps read 0 at eps 0: R(x) - R(x), with 1/(u - x) infinite at x = 3
+    ("scan", lambda m: {"model": m, "grid": {"re": [1.5, 3.5, 5], "eps": [0.0], "fd_n": 32}}),
     ("check", lambda m: {"triple": ["triple.json"]}),
     # an empty eps list wrote a header-only CSV and exited 0
     ("scan", lambda m: {"model": m, "grid": {"re": [4.0, 6.0, 3], "eps": [], "fd_n": 64}}),
@@ -302,7 +304,8 @@ def _drop(data, key):
         "ex2-lam0-nan", "contour-hidden-nan", "contour-hidden-1x0", "friedrichs-residue-nan",
         "friedrichs-residues-short", "friedrichs-orders-long", "friedrichs-orders-empty",
         "seed-negative", "seed-fraction", "re-count-fraction", "firstorder-n-fraction",
-        "re-count-zero", "firstorder-eps-zero", "friedrichs-eps-zero", "check-triple-not-a-path",
+        "re-count-zero", "firstorder-eps-zero", "friedrichs-eps-zero", "hainlust-eps-zero",
+        "check-triple-not-a-path",
         "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty",
         "eig-hainlust-empty-piece", "scan-hainlust-empty-piece", "scan-hainlust-u-short",
         "eig-region-re-decreasing", "eig-region-im-flat", "eig-region-im-decreasing"])

@@ -1,6 +1,11 @@
+import csv
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from weylscope.cli import main
 from weylscope.errors import BadMuError, UpperHalfPlaneError
 from weylscope.firstorder import (
     _BLOCK,
@@ -193,3 +198,20 @@ def test_scan_rows_shape(model):
     assert len(rows) == 2 and len(rows[0]) == 5
     assert rows[0][3] == 0.0 and rows[0][4] == 0.0
 
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND, ROADMAP item 13: the scan reports the trapezoid norm on "
+                          "[0, 40], not the half-line norm")
+def test_shipped_scan_reports_the_half_line_norm(tmp_path):
+    # through the command and its shipped config, so the test outlives a new resolvent API
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "scan-firstorder.json"
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == 0
+    a = json.loads(config.read_text())["grid"]["rhs_decay"]
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 30
+    for row in rows:
+        x0, eps = float(row["re_lambda"]), -float(row["im_lambda"])
+        exact = np.sqrt((a + eps) / (2 * a * eps)) / abs(complex(a + eps, x0))
+        assert float(row["resolvent_norm"]) == pytest.approx(exact, rel=1e-3)

