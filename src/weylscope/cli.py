@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import detect, firstorder, friedrichs, hainlust, triples
-from .errors import ConfigInvalidError, SampleInSpectrumError, WeylScopeError
+from .errors import ConfigInvalidError, WeylScopeError
 from .numerics import ContourSpec, matrix_norm2, orthonormal_basis, principal_angles
 
 DEFAULT_SEED = 1729
@@ -198,7 +198,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
         raise ConfigInvalidError(f"cannot read JSON file {path}: {exc}") from exc
 
 
@@ -273,7 +273,7 @@ def _suite_for_triple(rng, tr, tols):
             if (triples.spectrum_distance(ext_b, lam) > 0.3 and
                     triples.spectrum_distance(ext_c, lam) > 0.3):
                 return lam
-        raise SampleInSpectrumError(
+        raise WeylScopeError(
             f"no test point clear of both spectra in {SAFE_POINT_MAX_DRAWS} draws")
 
     def hilbert():

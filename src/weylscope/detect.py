@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourHitsSpectrumError, SampleInSpectrumError
+from .errors import WeylScopeError
 from .numerics import (
     ContourSpec,
     contour_integral,
@@ -66,7 +66,7 @@ class SpaceSamplingSpec:
 def _check_samples(ext: Extension, points, what: str):
     for z in points:
         if spectrum_distance(ext, z) <= SPECTRUM_CLEARANCE:
-            raise SampleInSpectrumError(f"{what} point {z} is within 1e-6 of the spectrum")
+            raise WeylScopeError(f"{what} point {z} is within 1e-6 of the spectrum")
 
 
 def _sample_stream(ext: Extension):
@@ -192,14 +192,12 @@ def full_contour_integral(ext: Extension, contour: ContourSpec) -> np.ndarray:
     Its compression S~^H (this) S, by linearity the contour integral of the
     bordered resolvent, vanishes (geometrically in the node count) exactly
     when the bordered resolvent is analytic inside the contour: that norm
-    is the Morera residual.  Raises ContourHitsSpectrumError when a node
+    is the Morera residual.  Raises WeylScopeError when a node
     lies within CONTOUR_CLEARANCE of the spectrum.
     """
     for z in contour.points():
         if spectrum_distance(ext, z) <= CONTOUR_CLEARANCE:
-            raise ContourHitsSpectrumError(
-                f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum"
-            )
+            raise WeylScopeError(f"contour node {z} within {CONTOUR_CLEARANCE} of the spectrum")
     return contour_integral(lambda z: resolvent_matrices(ext, z)[1], contour)
 
 

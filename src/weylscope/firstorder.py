@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMuError, UpperHalfPlaneError
+from .errors import WeylScopeError
 
 # resolvent: grid nodes per block of local terms; bounds the temporary arrays
 # and the list of Python complex numbers that the scalar carry runs over
@@ -85,7 +85,7 @@ def resolvent(model: FOModel, lam: complex, g: np.ndarray) -> np.ndarray:
     to stepping the whole recursion on complex scalars.
     """
     if lam.imag >= 0:
-        raise UpperHalfPlaneError(f"resolvent undefined for Im(lam) = {lam.imag} >= 0")
+        raise WeylScopeError(f"resolvent undefined for Im(lam) = {lam.imag} >= 0")
     g = np.asarray(g, dtype=complex)
     n = model.grid.n
     if g.shape != (n,):
@@ -115,7 +115,7 @@ def density_residual(model: FOModel, f: np.ndarray, mus) -> float:
     """
     for mu in mus:
         if complex(mu).imag >= 0:
-            raise BadMuError(f"sample {mu} not in the open lower half plane")
+            raise WeylScopeError(f"sample {mu} not in the open lower half plane")
     x = model.grid.nodes
     sqw = np.sqrt(model.grid.weights)
     cols = np.array([np.exp(-1j * complex(mu) * x) for mu in mus]).T

@@ -30,13 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    BracketZeroError,
-    ConstructionFailedError,
-    DZeroError,
-    RealLambdaError,
-    SlowDecayError,
-)
+from .errors import WeylScopeError
 from .numerics import ContourSpec, contour_integral
 
 _MERGE_TOL = 1e-13
@@ -140,7 +134,7 @@ class PoleSum:
         """Whole-line integral by residue closure; requires decay >= 2."""
         tail = self.tail_coefficient()
         if abs(tail) > 1e-10 * max(self.scale(), 1.0):
-            raise SlowDecayError(f"nonzero 1/x tail coefficient {tail}")
+            raise WeylScopeError(f"nonzero 1/x tail coefficient {tail}")
         upper = sum(
             (c for (p, o), c in self.terms.items() if o == 1 and p.imag > 0),
             0.0 + 0.0j,
@@ -215,7 +209,7 @@ def _check_lambda(lams):
     """Raise at the first point of the array lams that lies on the real axis."""
     on_axis = np.abs(lams.imag) <= _REAL_AXIS_TOL
     if on_axis.any():
-        raise RealLambdaError(f"lambda={complex(lams[np.argmax(on_axis)])} lies on the real axis")
+        raise WeylScopeError(f"lambda={complex(lams[np.argmax(on_axis)])} lies on the real axis")
 
 
 def _cauchy(ps: PoleSum, lam, upper: bool):
@@ -282,15 +276,15 @@ def _det_and_bracket(model: FriedrichsModel, lams):
 def m_value(model: FriedrichsModel, lam: complex) -> complex:
     """Scalar M-function value at a nonreal point.
 
-    Raises DZeroError when the determinant vanishes and BracketZeroError
-    when lam is a pole of M (m_scan records both as NaN rows instead).
+    Raises WeylScopeError when the determinant vanishes or lam is a pole
+    of M (m_scan records both as NaN rows instead).
     """
     lam = complex(lam)
     det, bracket = _det_and_bracket(model, np.array([lam]))
     if np.abs(det)[0] < 1e-12:  # the test that leaves bracket NaN
-        raise DZeroError(f"determinant vanishes at lam={lam}")
+        raise WeylScopeError(f"determinant vanishes at lam={lam}")
     if abs(bracket[0]) < 1e-12:
-        raise BracketZeroError(f"M-function pole at lam={lam}")
+        raise WeylScopeError(f"M-function pole at lam={lam}")
     return (1.0 / bracket)[0]
 
 
@@ -370,12 +364,12 @@ def example_eigenvalue_not_pole(lam0: complex):
     """
     lam0 = complex(lam0)
     if abs(lam0.imag) <= _REAL_AXIS_TOL:
-        raise RealLambdaError("lam0 must be nonreal")
+        raise WeylScopeError("lam0 must be nonreal")
     psi = PoleSum.from_poles((-1j,), (1.0,))
 
     base = _cauchy_at(psi * psi.conjugate(), lam0)
     if abs(base) < 1e-14:
-        raise ConstructionFailedError("determinant cannot be zeroed by scaling")
+        raise WeylScopeError("determinant cannot be zeroed by scaling")
     scale = np.conj(-1.0 / base)
     phi = psi.scaled(scale)
     model = FriedrichsModel(phi=phi, psi=psi, bparam=0.0)

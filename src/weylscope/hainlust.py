@@ -32,15 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AtEigenvalueError,
-    CoefficientSingularError,
-    ContourHitsEssranError,
-    LambdaInSpectrumError,
-    NoConvergenceError,
-    ToleranceNotMetError,
-    WeylScopeError,
-)
+from .errors import WeylScopeError
 from .numerics import matrix_norm2
 
 DEFAULT_ODE_TOL = 1e-10
@@ -260,7 +252,7 @@ def _constant_transfer(c, h, y):
     is 0 unless Re(s h) > RESCALE_EXPONENT for the principal root s, where
     cosh and sinh approach the edge of double range: the matrix is then
     scaled by e^(-Re(s h)), a positive factor that leaves every ratio of the
-    values unchanged.  Raises ToleranceNotMetError when the values leave double
+    values unchanged.  Raises WeylScopeError when the values leave double
     range.
     """
     t = c * h * h
@@ -281,11 +273,11 @@ def _constant_transfer(c, h, y):
                 ch = cmath.cosh(x)
                 sh = cmath.sinh(x) / s
     except OverflowError as exc:
-        raise ToleranceNotMetError(f"transfer over width {h} overflows at c={c}") from exc
+        raise WeylScopeError(f"transfer over width {h} overflows at c={c}") from exc
     a, b, p, d = y
     out = (ch * a + sh * b, c * sh * a + ch * b, ch * p + sh * d, c * sh * p + ch * d)
     if not all(cmath.isfinite(v) for v in out):
-        raise ToleranceNotMetError(f"solutions leave double range at c={c}")
+        raise WeylScopeError(f"solutions leave double range at c={c}")
     return out, shift
 
 
@@ -301,14 +293,14 @@ def _magnus_step(coeff, x, h, y):
     The coefficients of the two transfers mix coeff at the Gauss nodes of
     [x, x + h] (Blanes & Moan 2006), so each step is unimodular.  The error
     control compares values across steps, so a rescaled transfer raises
-    ToleranceNotMetError here.
+    WeylScopeError here.
     """
     c1 = coeff(x + (0.5 - _GAUSS_OFFSET) * h)
     c2 = coeff(x + (0.5 + _GAUSS_OFFSET) * h)
     for c in (2.0 * (_MAGNUS_A * c1 + _MAGNUS_B * c2), 2.0 * (_MAGNUS_B * c1 + _MAGNUS_A * c2)):
         y, shift = _constant_transfer(c, 0.5 * h, y)
         if shift:
-            raise ToleranceNotMetError(f"transfer over width {0.5 * h} overflows at c={c}")
+            raise WeylScopeError(f"transfer over width {0.5 * h} overflows at c={c}")
     return y
 
 
@@ -336,7 +328,7 @@ def _magnus_piece(coeff, x0, x1, y, tol):
         else:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
             if h < hmin:
-                raise ToleranceNotMetError("step size underflow in adaptive integrator")
+                raise WeylScopeError("step size underflow in adaptive integrator")
     return y
 
 
@@ -350,15 +342,13 @@ def shoot(model: HLModel, lam: complex, tol: float = DEFAULT_ODE_TOL) -> Shootin
     transfer matrix; a piece with a non-constant polynomial takes adaptive
     Magnus steps, each a product of two exact transfers, and tol applies to
     those pieces alone.  An exact transfer past double range is carried
-    scaled, its exponent summed into log_scale.  Raises ToleranceNotMetError
+    scaled, its exponent summed into log_scale.  Raises WeylScopeError
     when the solutions leave double range or the steps cannot meet tol.
     """
     lam = complex(lam)
     sing = model.essran_on_support()
     if interval_set_distance(lam, sing) <= 1e-8:
-        raise CoefficientSingularError(
-            f"lambda={lam} within 1e-8 of the singular set {sing}"
-        )
+        raise WeylScopeError(f"lambda={lam} within 1e-8 of the singular set {sing}")
 
     ca, sa = np.cos(model.alpha), np.sin(model.alpha)
     y = (complex(ca), complex(sa), complex(-sa), complex(ca))
@@ -416,7 +406,7 @@ def _shoot_m(model: HLModel, lam: complex):
     res = shoot(model, lam)
     den = _robin_at_1(model, res.y2_at_1, res.dy2_at_1)
     if abs(den) < 1e-12 * math.exp(-res.log_scale):
-        raise AtEigenvalueError(f"boundary denominator vanishes at lam={lam}")
+        raise WeylScopeError(f"boundary denominator vanishes at lam={lam}")
     sa, ca = np.sin(model.alpha), np.cos(model.alpha)
     m11 = -res.y2_at_1 / den
     m12 = sa / den
@@ -430,7 +420,7 @@ def _shoot_m(model: HLModel, lam: complex):
 def m_matrix(model: HLModel, lam: complex) -> np.ndarray:
     """The symmetric 2x2 M-matrix at lam.
 
-    Raises AtEigenvalueError when the shared denominator vanishes, i.e.
+    Raises WeylScopeError when the shared denominator vanishes, i.e.
     exactly when lam is an eigenvalue of the restriction.
     """
     return _shoot_m(model, lam)[0]
@@ -459,7 +449,7 @@ def _winding(model, rect):
 
     Phase increments above pi/2 trigger bisection of the offending segment,
     so the count is reliable once the samples resolve the argument.  Raises
-    NoConvergenceError when a jump is still unresolved after
+    WeylScopeError when a jump is still unresolved after
     WINDING_MAX_REFINE bisections.
     """
     re_lo, re_hi, im_lo, im_hi = rect
@@ -471,11 +461,11 @@ def _winding(model, rect):
     while i < len(pts) - 1:
         a, b = vals[i], vals[i + 1]
         if a == 0 or b == 0:
-            raise NoConvergenceError("denominator vanishes on the search boundary")
+            raise WeylScopeError("denominator vanishes on the search boundary")
         dphi = np.angle(b / a)
         if abs(dphi) > np.pi / 2:
             if refinements >= WINDING_MAX_REFINE:
-                raise NoConvergenceError(
+                raise WeylScopeError(
                     f"winding refinement cap {WINDING_MAX_REFINE} reached on {rect}"
                 )
             mid = 0.5 * (pts[i] + pts[i + 1])
@@ -487,15 +477,15 @@ def _winding(model, rect):
         i += 1
     count = total / (2.0 * np.pi)
     if abs(count - round(count)) > 0.2:
-        raise NoConvergenceError(f"winding number did not settle: {count}")
+        raise WeylScopeError(f"winding number did not settle: {count}")
     return int(round(count))
 
 
 def _newton_polish(model, lam):
     """Newton on the denominator with a central-difference derivative.
 
-    Raises NoConvergenceError when the derivative vanishes or the step has
-    not dropped below 1e-11 relative within NEWTON_MAX_ITER iterations.
+    Returns None when the derivative vanishes or the step has not dropped
+    below 1e-11 relative within NEWTON_MAX_ITER iterations.
     """
     step_scale = 1e-6
     for _ in range(NEWTON_MAX_ITER):
@@ -503,12 +493,12 @@ def _newton_polish(model, lam):
         h = step_scale * max(1.0, abs(lam))
         fp = (bc_denominator(model, lam + h) - bc_denominator(model, lam - h)) / (2 * h)
         if fp == 0:
-            raise NoConvergenceError(f"zero derivative in Newton at lam={lam}")
+            return None
         delta = f0 / fp
         lam = lam - delta
         if abs(delta) < 1e-11 * max(1.0, abs(lam)):
             return lam
-    raise NoConvergenceError(f"Newton did not converge in {NEWTON_MAX_ITER} steps, at lam={lam}")
+    return None
 
 
 def _check_region(re_lo, re_hi, im_lo, im_hi):
@@ -524,7 +514,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     (the essential range of u over the coupling support), where the winding
     number of the denominator is no zero count, and its boundary the same
     distance from the whole essential range of u; otherwise it raises
-    ContourHitsEssranError.  Located zeros are polished to 1e-10 and the
+    WeylScopeError.  Located zeros are polished to 1e-10 and the
     final count is checked against the winding number of the whole region.
     A Newton run that does not converge counts as a miss: the rectangle is
     subdivided, down to ROOT_MAX_DEPTH levels, across its longer edge, at
@@ -534,13 +524,11 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
     """
     _check_region(re_lo, re_hi, im_lo, im_hi)
     if _rect_distance(re_lo, re_hi, im_lo, im_hi, model.essran_on_support()) <= 1e-3:
-        raise ContourHitsEssranError("search region within 1e-3 of the singular set")
+        raise WeylScopeError("search region within 1e-3 of the singular set")
     edges = [(re_lo, re_hi, im_lo, im_lo), (re_lo, re_hi, im_hi, im_hi),
              (re_lo, re_lo, im_lo, im_hi), (re_hi, re_hi, im_lo, im_hi)]
     if min(_rect_distance(*edge, model.essran()) for edge in edges) <= 1e-3:
-        raise ContourHitsEssranError(
-            "search-region boundary within 1e-3 of the essential range"
-        )
+        raise WeylScopeError("search-region boundary within 1e-3 of the essential range")
 
     total = _winding(model, (re_lo, re_hi, im_lo, im_hi))
     roots: list[complex] = []
@@ -553,10 +541,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
         diag = np.hypot(rhi - rlo, ihi - ilo)
         if count == 1 or diag < 1e-3:
             seed = complex(0.5 * (rlo + rhi), 0.5 * (ilo + ihi))
-            try:
-                root = _newton_polish(model, seed)
-            except NoConvergenceError:
-                root = None
+            root = _newton_polish(model, seed)
             ok = root is not None and (
                 rlo - 1e-6 <= root.real <= rhi + 1e-6
                 and ilo - 1e-6 <= root.imag <= ihi + 1e-6
@@ -566,7 +551,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
                 roots.append(root)
                 continue
             if depth >= ROOT_MAX_DEPTH:
-                raise NoConvergenceError(f"could not isolate zero in {rect}")
+                raise WeylScopeError(f"could not isolate zero in {rect}")
         # split along the longer edge
         if (rhi - rlo) >= (ihi - ilo):
             cut = 0.5 * (rlo + rhi)
@@ -581,9 +566,7 @@ def eigenvalues_in(model: HLModel, re_lo, re_hi, im_lo, im_hi):
 
     roots = _dedupe(roots)
     if len(roots) != total:
-        raise NoConvergenceError(
-            f"found {len(roots)} zeros but boundary winding is {total}"
-        )
+        raise WeylScopeError(f"found {len(roots)} zeros but boundary winding is {total}")
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
@@ -646,7 +629,7 @@ def _resolvent_dense(mat, lam):
     try:
         return np.linalg.solve(a, np.eye(mat.shape[0], dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise LambdaInSpectrumError(str(exc)) from exc
+        raise WeylScopeError(str(exc)) from exc
 
 
 def _jump_norms(model: HLModel, n: int):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import WeylScopeError
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -75,9 +75,7 @@ def principal_angles(u, v) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"bases must share ambient dimension, got {u.shape} and {v.shape}"
-        )
+        raise WeylScopeError(f"bases must share ambient dimension, got {u.shape} and {v.shape}")
     p = min(u.shape[1], v.shape[1])
     if p == 0:
         return np.zeros(0)

@@ -37,11 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InconsistentBoundaryDataError,
-    LambdaInSpectrumError,
-    RankDeficientBoundaryError,
-)
+from .errors import WeylScopeError
 from .numerics import DEFAULT_RANK_TOL, matrix_norm2
 
 SPECTRUM_RCOND = 1e-10
@@ -126,9 +122,8 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
     defect block bnd1[:, m:] to be invertible); if supplied, the assembled
     triple is checked against the pairing identity.
 
-    Raises RankDeficientBoundaryError when a stacked boundary map pair is
-    not surjective, and InconsistentBoundaryDataError when a supplied
-    adj_bnd2 cannot close the identity.
+    Raises WeylScopeError when a stacked boundary map pair is not
+    surjective, or when a supplied adj_bnd2 cannot close the identity.
     """
     action = np.asarray(action, dtype=complex)
     if action.ndim != 2:
@@ -158,9 +153,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
         defect = bnd1[:, m:]
         sv = np.linalg.svd(defect, compute_uv=False)
         if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
-            raise RankDeficientBoundaryError(
-                "bnd1 defect block is singular; supply adj_bnd2 explicitly"
-            )
+            raise WeylScopeError("bnd1 defect block is singular; supply adj_bnd2 explicitly")
         target = lifted[:, m:] + adj_bnd1.conj().T @ bnd2[:, m:]
         adj_bnd2 = np.linalg.solve(defect.conj().T, target.conj().T)
     else:
@@ -176,7 +169,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
         adj_bnd2=adj_bnd2,
     )
     if supplied and _pairing_violated(tr):
-        raise InconsistentBoundaryDataError("adj_bnd2 does not close the pairing identity")
+        raise WeylScopeError("adj_bnd2 does not close the pairing identity")
 
     _check_surjective(adj_bnd1, adj_bnd2, "adjoint")
     return tr
@@ -197,10 +190,10 @@ def _check_surjective(b1, b2, side):
     if stacked.shape[0] == 0:
         return
     if stacked.shape[0] > stacked.shape[1]:
-        raise RankDeficientBoundaryError(f"{side} boundary maps exceed domain dimension")
+        raise WeylScopeError(f"{side} boundary maps exceed domain dimension")
     sv = np.linalg.svd(stacked, compute_uv=False)
     if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
-        raise RankDeficientBoundaryError(f"stacked {side} boundary maps not surjective")
+        raise WeylScopeError(f"stacked {side} boundary maps not surjective")
 
 
 def green_residual(tr: FiniteTriple, u, v) -> float:
@@ -274,7 +267,7 @@ def triple_from_dict(data: dict) -> FiniteTriple:
     try:
         _check_surjective(tr.bnd1, tr.bnd2, "primary")
         _check_surjective(tr.adj_bnd1, tr.adj_bnd2, "adjoint")
-    except RankDeficientBoundaryError as exc:
+    except WeylScopeError as exc:
         raise ValueError(str(exc)) from exc
     return tr
 
@@ -357,7 +350,7 @@ def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = None
     if inv is None or not (np.linalg.norm(mat) * np.linalg.norm(inv) * SPECTRUM_RCOND < 1.0):
-        raise LambdaInSpectrumError(f"lambda={lam} is in the spectrum of the restriction")
+        raise WeylScopeError(f"lambda={lam} is in the spectrum of the restriction")
     return inv
 
 
@@ -383,20 +376,16 @@ def extension_operator(ext: Extension) -> np.ndarray:
 
     Domain vectors are determined by their state values, so the operator is
     (action @ Q) (value @ Q)^{-1} for a domain basis Q.  Raises
-    RankDeficientBoundaryError when value @ Q is singular: the domain then
+    WeylScopeError when value @ Q is singular: the domain then
     holds a vector with zero state value and the restriction is no operator.
     """
     tr = ext.triple
     q, act = extension_matrix(ext)
     if q.shape[1] != tr.state_dim:
-        raise RankDeficientBoundaryError(
-            "restriction domain does not match the state dimension"
-        )
+        raise WeylScopeError("restriction domain does not match the state dimension")
     vq = q[: tr.state_dim, :]
     if vq.size and np.linalg.svd(vq, compute_uv=False)[-1] <= DEFAULT_RANK_TOL:
-        raise RankDeficientBoundaryError(
-            "restriction domain holds a vector with zero state value"
-        )
+        raise WeylScopeError("restriction domain holds a vector with zero state value")
     return np.linalg.solve(vq.conj().T, act.conj().T).conj().T
 
 

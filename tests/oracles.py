@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from weylscope.errors import SlowDecayError
+from weylscope.errors import WeylScopeError
 from weylscope.hainlust import discretize
 from weylscope.triples import extension_operator
 
@@ -21,7 +21,7 @@ def real_line_quadrature(f, decay_order: int) -> complex:
     exceptions raised by f propagate unchanged.
     """
     if decay_order < 2:
-        raise SlowDecayError(f"decay order {decay_order} < 2")
+        raise WeylScopeError(f"decay order {decay_order} < 2")
     base, weights = leggauss(DEFAULT_LINE_NODES // 2)
     total = 0.0 + 0.0j
     for lo, hi in ((-np.pi / 2, 0.0), (0.0, np.pi / 2)):

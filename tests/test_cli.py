@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -291,6 +292,8 @@ def _drop(data, key):
     ("eig", lambda m: {"model": m, "region": [50.0, 0.5, -1.0, 1.0]}),
     ("eig", lambda m: {"model": m, "region": [0.5, 50.0, 0.0, 0.0]}),
     ("eig", lambda m: {"model": m, "region": [0.5, 50.0, 1.0, -1.0]}),
+    ("scan", lambda m: {"model": {**m, "u": {**m["u"], "breaks": [0.0, 0.0, 1.0]}}}),
+    ("scan", lambda m: {"model": {"type": "firstorder", "grid": {"length": -1.0, "n": 64}}}),
 ], ids=["scan-hainlust-no-q", "eig-hainlust-no-q", "alpha-zero", "re-two-elements",
         "friedrichs-real-pole", "firstorder-n4", "contour-negative-radius",
         "ex2-real-lam0", "fd-n-16", "check-leftover-tolerances", "eig-misspelt-region",
@@ -308,7 +311,8 @@ def _drop(data, key):
         "check-triple-not-a-path",
         "hainlust-eps-empty", "friedrichs-eps-empty", "firstorder-eps-empty",
         "eig-hainlust-empty-piece", "scan-hainlust-empty-piece", "scan-hainlust-u-short",
-        "eig-region-re-decreasing", "eig-region-im-flat", "eig-region-im-decreasing"])
+        "eig-region-re-decreasing", "eig-region-im-flat", "eig-region-im-decreasing",
+        "hainlust-breaks-repeated", "firstorder-length-negative"])
 def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, make_config):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, make_config(step_model_dict))
@@ -317,20 +321,60 @@ def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, ma
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, key", [
-    ("check", "action_adj"), ("check", "action"), ("eig", "action"), ("contour", "action"),
-])
-def test_nonfinite_triple_file_exits_2(tmp_path, capsys, command, key):
-    # a NaN made the pairing test false (check passed) or raised LinAlgError
+def _nan_entry(key):
+    def edit(data, config):
+        data[key][0][0][0] = NAN
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("check", _nan_entry("action_adj"), "field action_adj has a non-finite entry"),
+    ("check", _nan_entry("action"), "field action has a non-finite entry"),
+    ("eig", _nan_entry("action"), "field action has a non-finite entry"),
+    ("contour", _nan_entry("action"), "field action has a non-finite entry"),
+    ("check", lambda data, config: data.update(schema="triple-v2"),
+     "unsupported schema 'triple-v2'"),
+    ("check", lambda data, config: data["action"].pop(), "field action has wrong shape"),
+    ("eig", lambda data, config: config.update(bparam=[[[0.0, 0.0], [0.0, 0.0]]]),
+     r"bparam must be \(1, 1\), got \(1, 2\)"),
+], ids=["check-action_adj", "check-action", "eig-action", "contour-action", "check-schema-v2",
+        "check-action-row-dropped", "eig-bparam-1x2"])
+def test_nonfinite_triple_file_exits_2(tmp_path, capsys, command, edit, message):
+    # a NaN made the pairing test false (check passed) or raised LinAlgError; the
+    # other triple-file refusals share the path
     data = triple_to_dict(random_triple(np.random.default_rng(4), state_dim=4, h=1, k=1))
-    data[key][0][0][0] = NAN
     tf = tmp_path / "triple.json"
+    config = {"model" if command == "eig" else "triple": str(tf)}
+    edit(data, config)
     write_json(tf, data)
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model" if command == "eig" else "triple": str(tf)})
+    write_json(cfg, config)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: invalid config: ") and err.count("\n") == 1
+    assert re.search(message, err)
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "directory"],
+                         ids=["missing", "malformed", "not-utf-8", "directory"])
+@pytest.mark.parametrize("through", ["config", "model"])
+def test_unreadable_file_exits_2(tmp_path, capsys, content, through):
+    # bytes that are not UTF-8 raised UnicodeDecodeError with a traceback and exit 1
+    bad = tmp_path / "bad.json"
+    if content == "directory":
+        bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    cfg = bad
+    if through == "model":
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"model": str(bad), "region": [0.5, 15.0, -1.0, 1.0]})
+    assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read JSON file {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--tol", "inf"], ["--tol", "nan"],
@@ -552,6 +596,15 @@ def test_example_ex2_lower_report(tmp_path):
     assert rep["eigen_residual"] < 1e-7
     assert rep["gamma1_abs"] < 1e-9
     assert rep["m_pole_residual"] < 1e-10
+
+
+def test_example_ex2_upper_far_lam0_exits_1(tmp_path, capsys):
+    # at lam0 = 1e15 i no scaling of phi zeroes the determinant
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"example": "ex2-upper", "lam0": [0.0, 1e15]})
+    assert main(["example", "--config", str(cfg), "--out", str(tmp_path / "ex2.json")]) == 1
+    assert capsys.readouterr().err == "check failed: determinant cannot be zeroed by scaling\n"
+    assert not (tmp_path / "ex2.json").exists()
 
 
 def test_example_ex3_report(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylscope.cli import main
-from weylscope.errors import BadMuError, UpperHalfPlaneError
+from weylscope.errors import WeylScopeError
 from weylscope.firstorder import (
     _BLOCK,
     SCAN_HEADER,
@@ -112,10 +112,15 @@ def test_resolvent_bit_identical_to_stepped_recursion(n, lam):
 
 
 def test_resolvent_rejects_upper_half_plane(model):
-    with pytest.raises(UpperHalfPlaneError):
+    with pytest.raises(WeylScopeError, match=r"resolvent undefined for Im\(lam\) = 1.0 >= 0"):
         resolvent(model, 1j, np.zeros(model.grid.n))
-    with pytest.raises(UpperHalfPlaneError):
+    with pytest.raises(WeylScopeError, match=r"resolvent undefined for Im\(lam\) = 0.0 >= 0"):
         resolvent(model, 1.0, np.zeros(model.grid.n))
+
+
+def test_resolvent_rejects_g_off_the_grid(model):
+    with pytest.raises(ValueError, match="g must be sampled on the 4096-point grid"):
+        resolvent(model, -1j, np.zeros(model.grid.n - 1))
 
 
 def test_density_member_of_span(model):
@@ -143,7 +148,7 @@ def test_density_monotone_decrease(model):
 
 
 def test_density_rejects_bad_mu(model):
-    with pytest.raises(BadMuError):
+    with pytest.raises(WeylScopeError, match="sample 0.5j not in the open lower half plane"):
         density_residual(model, np.exp(-model.grid.nodes), [0.5j])
 
 

@@ -1,5 +1,5 @@
 """Every public function, method and defaulted parameter of the package is reached from
-package code, or is a listed exception."""
+package code, or is a listed exception; every exception class is caught by package code."""
 
 import ast
 import pathlib
@@ -18,7 +18,7 @@ UNREACHED = (
 )
 
 UNSET = (
-    "make_triple.adj_bnd2",  # its RankDeficientBoundaryError message sends callers there
+    "make_triple.adj_bnd2",  # its singular-defect-block message sends callers there
     "random_triple.real",  # tests draw real-coefficient triples through it
     "random_extension.real",  # and real-coefficient restrictions of them
     "reducing_residual.mask_override",  # its negative control, kept for ROADMAP item 6
@@ -124,3 +124,14 @@ def test_every_defaulted_parameter_is_set_by_package_code():
 
 def test_every_public_method_and_property_is_referenced_by_package_code():
     assert _unreferenced_methods() == sorted(UNREFERENCED)
+
+
+def test_every_exception_class_is_caught_by_package_code():
+    # a class that no except clause names is one no caller tells apart: raise its base
+    modules = _modules()
+    classes = {node.name for node in ast.walk(ast.parse((PACKAGE / "errors.py").read_text()))
+               if isinstance(node, ast.ClassDef)}
+    caught = {_name(n) for tree in modules for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for n in ast.walk(handler.type)}
+    assert sorted(classes - caught) == []

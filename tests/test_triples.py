@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weylscope.errors import LambdaInSpectrumError, RankDeficientBoundaryError
+from weylscope.errors import WeylScopeError
 from weylscope.numerics import ContourSpec, contour_integral
 from weylscope.triples import (
     Extension,
@@ -116,16 +116,27 @@ def test_rank_deficient_boundary_rejected(rng):
     action = rng.standard_normal((3, 5))
     bnd1 = np.vstack([np.eye(5)[3], np.eye(5)[3]])  # repeated row: rank 1, h = 2
     bnd2 = np.zeros((0, 5))
-    with pytest.raises(RankDeficientBoundaryError):
+    with pytest.raises(WeylScopeError, match="stacked primary boundary maps not surjective"):
         make_triple(action, bnd1, bnd2, np.zeros((0, 3)))
 
 
 def test_inconsistent_supplied_adjoint_map_rejected(rng, triple):
-    from weylscope.errors import InconsistentBoundaryDataError
-
     bad = triple.adj_bnd2 + 0.1
-    with pytest.raises(InconsistentBoundaryDataError):
+    with pytest.raises(WeylScopeError, match="adj_bnd2 does not close the pairing identity"):
         make_triple(triple.action, triple.bnd1, triple.bnd2, triple.adj_bnd1, bad)
+
+
+@pytest.mark.parametrize("action, bnd1, bnd2, adj_bnd1, message", [
+    (np.ones(3), [], [], [], "action must be a matrix"),
+    (np.ones((3, 2)), [], [], [], "action cannot have more rows than columns"),
+    (np.ones((2, 3)), np.ones((2, 3)), [], [], r"bnd1 must have shape \(1, 3\), got \(2, 3\)"),
+    (np.ones((2, 3)), np.ones((1, 3)), np.ones((1, 2)), [], "bnd2 must have 3 columns"),
+    (np.ones((2, 3)), np.ones((1, 3)), np.ones((1, 3)), np.ones((1, 2)),
+     r"adj_bnd1 must have shape \(1, 3\), got \(1, 2\)"),
+], ids=["action-1d", "action-tall", "bnd1-rows", "bnd2-columns", "adj-bnd1-columns"])
+def test_make_triple_rejects_misshaped_maps(action, bnd1, bnd2, adj_bnd1, message):
+    with pytest.raises(ValueError, match=message):
+        make_triple(action, bnd1, bnd2, adj_bnd1)
 
 
 def test_consistent_supplied_adjoint_map_accepted(triple):
@@ -263,7 +274,7 @@ def test_resolvent_defining_equation(rng, ext):
 
 def test_resolvent_rejects_spectrum(rng, ext):
     lam = extension_eigenvalues(ext)[0]
-    with pytest.raises(LambdaInSpectrumError):
+    with pytest.raises(WeylScopeError, match="is in the spectrum of the restriction"):
         resolvent_apply(ext, complex(lam), np.ones(ext.triple.state_dim))
 
 
@@ -274,14 +285,14 @@ def test_resolvent_rejects_an_exactly_singular_system(monkeypatch):
     ext = Extension(make_triple(np.diag([1.0, 2.0, 3.0]), empty, empty, empty), np.zeros((0, 0)))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(ext.triple.action - 2.0 * np.eye(3), np.eye(3))
-    with pytest.raises(LambdaInSpectrumError):
+    with pytest.raises(WeylScopeError, match="is in the spectrum of the restriction"):
         resolvent_matrices(ext, 2.0)
     # an inverse that is not finite fails the condition gate, without a warning
     for bad in (np.nan, np.inf):
         monkeypatch.setattr(np.linalg, "inv", lambda mat, bad=bad: np.full(mat.shape, bad + 0j))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(LambdaInSpectrumError):
+            with pytest.raises(WeylScopeError, match="is in the spectrum of the restriction"):
                 resolvent_matrices(ext, 5.0)
 
 
@@ -297,7 +308,7 @@ def _jordan_extension():
 
 @pytest.mark.parametrize("lam", [2.0, 2.0 + 1e-9, 2.0 + 1e-6])
 def test_resolvent_rejects_jordan_block_eigenvalue(lam):
-    with pytest.raises(LambdaInSpectrumError):
+    with pytest.raises(WeylScopeError, match="is in the spectrum of the restriction"):
         resolvent_matrices(_jordan_extension(), lam)
 
 
@@ -316,7 +327,7 @@ def test_gate_rejects_every_point_the_svd_test_rejects():
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv[-1] <= 1e-10 * sv[0]:
                 rejected += 1
-                with pytest.raises(LambdaInSpectrumError):
+                with pytest.raises(WeylScopeError, match="is in the spectrum of the restriction"):
                     resolvent_matrices(ext, lam)
     assert rejected >= 60
 
@@ -468,9 +479,9 @@ def test_extension_operator_rejects_zero_state_domain_vector():
     # pure defect coordinate, whose state value is zero: no state-space matrix
     tr = random_triple(np.random.default_rng(3), 3, 1, 1)
     ext = Extension(tr, np.array([[tr.bnd1[0, 3] / tr.bnd2[0, 3]]]))
-    with pytest.raises(RankDeficientBoundaryError):
+    with pytest.raises(WeylScopeError, match="restriction domain holds a vector with zero state value"):
         extension_operator(ext)
-    with pytest.raises(RankDeficientBoundaryError):
+    with pytest.raises(WeylScopeError, match="restriction domain holds a vector with zero state value"):
         extension_eigenvalues(ext)
 
 
