@@ -111,7 +111,7 @@ def _point_columns(ext: Extension, mu: complex, anchor_blocks=()):
 def _anchor_blocks(ext: Extension, anchors) -> list:
     """State values of the solution ranges at the anchors, the blocks R_B is applied to."""
     _check_samples(ext, anchors, "anchor")
-    return [ext.triple.values(solution_basis(ext, z)) for z in anchors]
+    return [solution_basis(ext, z)[: ext.triple.state_dim] for z in anchors]
 
 
 def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> np.ndarray:

@@ -48,6 +48,14 @@ class PoleSum:
     def __init__(self):
         self.terms = {}
 
+    @classmethod
+    def _collect(cls, terms):
+        """A PoleSum of the (pole, order, coeff) terms, added in the given order."""
+        out = cls()
+        for p, o, c in terms:
+            out._add_term(p, o, c)
+        return out
+
     def _add_term(self, pole, order, coeff):
         if coeff == 0:
             return
@@ -79,33 +87,20 @@ class PoleSum:
             raise ValueError("poles must be nonreal")
         if any(o < 1 for o in orders):
             raise ValueError("orders must be positive")
-        out = cls()
-        for p, r, o in zip(poles, residues, orders):
-            out._add_term(p, o, r)
-        return out
+        return cls._collect(zip(poles, orders, residues))
 
     def __add__(self, other):
-        out = PoleSum()
-        for (p, o), c in self.terms.items():
-            out._add_term(p, o, c)
-        for (p, o), c in other.terms.items():
-            out._add_term(p, o, c)
-        return out
+        return PoleSum._collect((p, o, c) for terms in (self.terms, other.terms)
+                                for (p, o), c in terms.items())
 
     def scaled(self, factor):
-        out = PoleSum()
-        for (p, o), c in self.terms.items():
-            out._add_term(p, o, c * complex(factor))
-        return out
+        return PoleSum._collect((p, o, c * complex(factor)) for (p, o), c in self.terms.items())
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def conjugate(self):
-        out = PoleSum()
-        for (p, o), c in self.terms.items():
-            out._add_term(np.conj(p), o, np.conj(c))
-        return out
+        return PoleSum._collect((np.conj(p), o, np.conj(c)) for (p, o), c in self.terms.items())
 
     def __mul__(self, other):
         out = PoleSum()
@@ -127,13 +122,11 @@ class PoleSum:
         """Coefficient of 1/x at infinity: the sum of first-order coefficients."""
         return sum((c for (_, o), c in self.terms.items() if o == 1), 0.0 + 0.0j)
 
-    def scale(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def line_integral(self) -> complex:
         """Whole-line integral by residue closure; requires decay >= 2."""
         tail = self.tail_coefficient()
-        if abs(tail) > 1e-10 * max(self.scale(), 1.0):
+        scale = max((abs(c) for c in self.terms.values()), default=0.0)
+        if abs(tail) > 1e-10 * max(scale, 1.0):
             raise WeylScopeError(f"nonzero 1/x tail coefficient {tail}")
         upper = sum(
             (c for (p, o), c in self.terms.items() if o == 1 and p.imag > 0),

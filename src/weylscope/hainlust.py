@@ -625,7 +625,10 @@ def _projector_diag(meta) -> np.ndarray:
 
 
 def _resolvent_dense(mat, lam):
-    a = mat - lam * np.eye(mat.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = mat - lam * np.eye(mat.shape[0])
+    if not np.isfinite(a).all():
+        raise WeylScopeError(f"discretization shifted by lam={lam} leaves double range")
     try:
         return np.linalg.solve(a, np.eye(mat.shape[0], dtype=complex))
     except np.linalg.LinAlgError as exc:
@@ -658,10 +661,13 @@ def _jump_norms(model: HLModel, n: int):
     sub = mat[np.ix_(keep, keep)]
     del mat  # only the restriction is used from here on; free the full matrix
     if not np.iscomplexobj(sub):
-        sub *= root[:, None]
-        sub /= root[None, :]
-        sub += sub.T
-        sub *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            sub *= root[:, None]
+            sub /= root[None, :]
+            sub += sub.T
+            sub *= 0.5
+        if not np.isfinite(sub).all():
+            raise WeylScopeError("weighted discretization leaves double range")
         mu = np.linalg.eigvalsh(sub)
 
         def bordered(lam):

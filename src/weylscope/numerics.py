@@ -1,6 +1,6 @@
 """Dense complex linear algebra and contour quadrature kernels.
 
-Everything here is pure: no shared mutable state, safe to call concurrently.
+Everything here is pure: no shared mutable state.
 """
 
 from __future__ import annotations

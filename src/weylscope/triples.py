@@ -72,7 +72,7 @@ class FiniteTriple:
     adj_bnd2: np.ndarray
 
     def __post_init__(self):
-        # freeze the payload so triples are safe to share across threads
+        # freeze the payload: Extension caches _spectrum and _stacked built from it
         for name in ("action", "action_adj", "bnd1", "bnd2", "adj_bnd1", "adj_bnd2"):
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
@@ -97,21 +97,6 @@ class FiniteTriple:
     @property
     def k(self) -> int:
         return self.bnd2.shape[0]
-
-    def values(self, u: np.ndarray) -> np.ndarray:
-        """State-space identity of a domain-coordinate vector (or column family)."""
-        return u[: self.state_dim]
-
-    def swap(self) -> "FiniteTriple":
-        """The same pair with the two sides exchanged (conjugate pairing)."""
-        return FiniteTriple(
-            action=self.action_adj,
-            action_adj=self.action,
-            bnd1=self.adj_bnd1,
-            bnd2=self.adj_bnd2,
-            adj_bnd1=self.bnd1,
-            adj_bnd2=self.bnd2,
-        )
 
 
 def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
@@ -151,8 +136,7 @@ def make_triple(action, bnd1, bnd2, adj_bnd1, adj_bnd2=None):
         adj_bnd2 = _as_matrix(adj_bnd2, h, nt, "adj_bnd2")
     elif h > 0:
         defect = bnd1[:, m:]
-        sv = np.linalg.svd(defect, compute_uv=False)
-        if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
+        if _rank_deficient(defect):
             raise WeylScopeError("bnd1 defect block is singular; supply adj_bnd2 explicitly")
         target = lifted[:, m:] + adj_bnd1.conj().T @ bnd2[:, m:]
         adj_bnd2 = np.linalg.solve(defect.conj().T, target.conj().T)
@@ -185,14 +169,17 @@ def _pairing_rhs(bnd1, bnd2, adj_bnd1, adj_bnd2):
     return adj_bnd2.conj().T @ bnd1 - adj_bnd1.conj().T @ bnd2
 
 
+def _rank_deficient(mat) -> bool:
+    """The full-rank test: sigma_min <= DEFAULT_RANK_TOL max(sigma_max, 1); False when empty."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return sv.size > 0 and sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0)
+
+
 def _check_surjective(b1, b2, side):
     stacked = np.vstack([b1, b2])
-    if stacked.shape[0] == 0:
-        return
     if stacked.shape[0] > stacked.shape[1]:
         raise WeylScopeError(f"{side} boundary maps exceed domain dimension")
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv[-1] <= DEFAULT_RANK_TOL * max(sv[0], 1.0):
+    if _rank_deficient(stacked):
         raise WeylScopeError(f"stacked {side} boundary maps not surjective")
 
 
@@ -327,8 +314,11 @@ class Extension:
 
 
 def adjoint_extension(ext: Extension) -> Extension:
-    """The adjoint-side restriction, parametrized by the conjugate transpose."""
-    return Extension(ext.triple.swap(), ext.bparam.conj().T)
+    """The adjoint-side restriction: the pair with its two sides exchanged, parametrized by B^H."""
+    tr = ext.triple
+    swapped = FiniteTriple(action=tr.action_adj, action_adj=tr.action, bnd1=tr.adj_bnd1,
+                           bnd2=tr.adj_bnd2, adj_bnd1=tr.bnd1, adj_bnd2=tr.bnd2)
+    return Extension(swapped, ext.bparam.conj().T)
 
 
 def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
@@ -354,11 +344,14 @@ def _stacked_inverse(ext: Extension, lam: complex) -> np.ndarray:
     return inv
 
 
-def extension_matrix(ext: Extension):
-    """Orthonormal domain basis of the restriction and the action on it.
+def extension_operator(ext: Extension) -> np.ndarray:
+    """The restriction as a plain matrix on the state space.
 
-    Returns (domain_basis, action_on_domain) where action_on_domain maps
-    domain-basis coordinates to state values.
+    Domain vectors are determined by their state values, so the operator is
+    (action @ Q) (value @ Q)^{-1} for an orthonormal basis Q of
+    ker(bnd1 - B bnd2).  Raises WeylScopeError when value @ Q is singular:
+    the domain then holds a vector with zero state value and the restriction
+    is no operator.
     """
     tr = ext.triple
     con = ext.constraint
@@ -366,27 +359,13 @@ def extension_matrix(ext: Extension):
         q = np.eye(tr.dom_dim, dtype=complex)
     else:
         _, s, vh = np.linalg.svd(con)
-        rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
-        q = vh[rank:].conj().T
-    return q, tr.action @ q
-
-
-def extension_operator(ext: Extension) -> np.ndarray:
-    """The restriction as a plain matrix on the state space.
-
-    Domain vectors are determined by their state values, so the operator is
-    (action @ Q) (value @ Q)^{-1} for a domain basis Q.  Raises
-    WeylScopeError when value @ Q is singular: the domain then
-    holds a vector with zero state value and the restriction is no operator.
-    """
-    tr = ext.triple
-    q, act = extension_matrix(ext)
+        q = vh[int(np.sum(s > 1e-12 * max(s[0], 1.0))):].conj().T
     if q.shape[1] != tr.state_dim:
         raise WeylScopeError("restriction domain does not match the state dimension")
     vq = q[: tr.state_dim, :]
-    if vq.size and np.linalg.svd(vq, compute_uv=False)[-1] <= DEFAULT_RANK_TOL:
+    if _rank_deficient(vq):  # sigma_max(vq) <= 1: vq is a row block of orthonormal columns
         raise WeylScopeError("restriction domain holds a vector with zero state value")
-    return np.linalg.solve(vq.conj().T, act.conj().T).conj().T
+    return np.linalg.solve(vq.conj().T, (tr.action @ q).conj().T).conj().T
 
 
 def extension_eigenvalues(ext: Extension) -> np.ndarray:
@@ -403,23 +382,13 @@ def spectrum_distance(ext: Extension, z: complex) -> float:
     return float(np.min(np.abs(eigs - z))) if eigs.size else np.inf
 
 
-def resolvent_apply(ext: Extension, lam: complex, rhs) -> np.ndarray:
-    """Solve (action - lam * value) x = rhs with (bnd1 - B bnd2) x = 0.
-
-    rhs is a state vector (length m) or a family of them; the result is in
-    domain coordinates (length n), whose leading m entries are its state
-    values.  It is the resolvent block of the stacked inverse times rhs.
-    """
-    coords, _ = resolvent_matrices(ext, lam)
-    return coords @ np.asarray(rhs, dtype=complex)
-
-
 def resolvent_matrices(ext: Extension, lam: complex):
     """(coords, values) of the resolvent applied to the state-space identity.
 
     coords is n x m (domain coordinates column by column), the leading m
     columns of the stacked inverse; values = its leading m rows, i.e. the
-    resolvent R_B(lam) as an m x m state-space operator.
+    resolvent R_B(lam) as an m x m state-space operator.  The solution x of
+    (action - lam * value) x = r with (bnd1 - B bnd2) x = 0 is coords @ r.
     """
     m = ext.triple.state_dim
     coords = _stacked_inverse(ext, lam)[:, :m]
@@ -469,7 +438,7 @@ def m_via_resolvent(ext: Extension, lam: complex, lam0: complex) -> np.ndarray:
     """
     tr = ext.triple
     base = solution_basis(ext, lam0)
-    corr = resolvent_apply(ext, lam, tr.values(base))
+    corr = resolvent_matrices(ext, lam)[0] @ base[: tr.state_dim]
     return tr.bnd2 @ (base + (lam - lam0) * corr)
 
 

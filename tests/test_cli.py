@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from weylscope import cli, detect, triples
 from weylscope.cli import main
-from weylscope.triples import random_triple, triple_to_dict
+from weylscope.triples import FiniteTriple, random_triple, triple_to_dict
 
 NAN, INF = float("nan"), float("inf")
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -321,6 +322,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, step_model_dict, command, ma
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _zero_boundary_triple():
+    """Zero boundary maps and zero defect columns: the pairing identity holds, surjectivity fails."""
+    action = np.hstack([np.eye(4), np.zeros((4, 1))])
+    zero = np.zeros((1, 5))
+    return FiniteTriple(action=action, action_adj=action, bnd1=zero, bnd2=zero,
+                        adj_bnd1=zero, adj_bnd2=zero)
+
+
 def _nan_entry(key):
     def edit(data, config):
         data[key][0][0][0] = NAN
@@ -337,8 +346,10 @@ def _nan_entry(key):
     ("check", lambda data, config: data["action"].pop(), "field action has wrong shape"),
     ("eig", lambda data, config: config.update(bparam=[[[0.0, 0.0], [0.0, 0.0]]]),
      r"bparam must be \(1, 1\), got \(1, 2\)"),
+    ("check", lambda data, config: data.update(triple_to_dict(_zero_boundary_triple())),
+     "stacked primary boundary maps not surjective"),
 ], ids=["check-action_adj", "check-action", "eig-action", "contour-action", "check-schema-v2",
-        "check-action-row-dropped", "eig-bparam-1x2"])
+        "check-action-row-dropped", "eig-bparam-1x2", "check-zero-boundary-maps"])
 def test_nonfinite_triple_file_exits_2(tmp_path, capsys, command, edit, message):
     # a NaN made the pairing test false (check passed) or raised LinAlgError; the
     # other triple-file refusals share the path
@@ -552,6 +563,31 @@ def test_scan_hainlust_complex_q_and_w_still_scan(tmp_path, step_model_dict):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("command, q_imag, rest, message", [
+    # the weighted symmetrization overflowed, and eigvalsh raised LinAlgError
+    ("scan", 0.0, {"grid": {"re": [1e308, 1e308, 1], "eps": [0.1], "fd_n": 32}},
+     "weighted discretization leaves double range"),
+    # the shift overflowed, and the scan reported both jumps as 0
+    ("scan", 1.0, {"grid": {"re": [1e308, 1e308, 1], "eps": [0.1], "fd_n": 32}},
+     "discretization shifted by lam=(1e+308+0.1j) leaves double range"),
+    ("eig", 0.0, {"region": [1e308, 1.5e308, -1.0, 1.0]},
+     "solutions leave double range at c=(-inf+1j)"),
+], ids=["scan-real-q", "scan-complex-q", "eig"])
+def test_hainlust_beyond_double_range_exits_1(tmp_path, capsys, command, q_imag, rest, message):
+    model = {"type": "hainlust",
+             "q": {"breaks": [0.0, 1.0], "coeffs": [[[-1e308, q_imag]]]},
+             "u": {"breaks": [0.0, 1.0], "coeffs": [[[5.0, 0.0]]]},
+             "w": {"breaks": [0.0, 1.0], "coeffs": [[[0.0, 0.0]]]},
+             "alpha": np.pi / 2, "beta": np.pi / 2}
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": model, **rest})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"check failed: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_contour_hidden_block_report(tmp_path):

@@ -394,7 +394,7 @@ def _reference_plan(ext):
     anchor, stream = _sample_stream(ext)
 
     def columns(points):
-        return [ext.triple.values(solution_basis(ext, mu)) for mu in points]
+        return [solution_basis(ext, mu)[: ext.triple.state_dim] for mu in points]
 
     pts = list(itertools.islice(stream, SATURATION_START))
     cols = np.hstack(columns(pts))

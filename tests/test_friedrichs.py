@@ -705,6 +705,15 @@ def test_example3_selfadjoint_symmetry():
         assert abs(np.conj(m_value(model, np.conj(lam))) - m_value(model, lam)) < 1e-10
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: example_eigenvalue_not_pole(lam0=0.5), WeylScopeError, "lam0 must be nonreal"),
+    (lambda: example_embedded_eigenvalue(bparam=1j), ValueError, "bparam must be real"),
+], ids=["ex2-real-lam0", "ex3-complex-bparam"])
+def test_examples_refuse_their_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_model_from_dict_without_orders_or_b():
     # a model in the config format: orders default to all ones, B to 0
     model = model_from_dict({

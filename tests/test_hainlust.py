@@ -72,6 +72,11 @@ def test_essran_constant():
     assert essential_range(PiecewisePoly.constant(5.0)) == [(5.0, 5.0)]
 
 
+def test_essran_refuses_complex_coefficients():
+    with pytest.raises(ValueError, match="essential range supported for real coefficients only"):
+        essential_range(PiecewisePoly.constant(2.0 + 0.1j))
+
+
 def test_essran_joins_ranges_that_touch():
     # u = 2x on [0, 1/2] has range [0, 1], u = 1/2 + x on [1/2, 1] has [1, 3/2]
     u = PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=((0.0, 2.0), (0.5, 1.0)))

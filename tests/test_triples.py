@@ -9,10 +9,10 @@ from weylscope.errors import WeylScopeError
 from weylscope.numerics import ContourSpec, contour_integral
 from weylscope.triples import (
     Extension,
+    FiniteTriple,
     adjoint_extension,
     direct_sum_hidden,
     extension_eigenvalues,
-    extension_matrix,
     extension_operator,
     green_residual,
     hilbert_identity_residual,
@@ -22,7 +22,6 @@ from weylscope.triples import (
     make_triple,
     random_extension,
     random_triple,
-    resolvent_apply,
     resolvent_matrices,
     solution_basis,
     spectrum_distance,
@@ -139,6 +138,19 @@ def test_make_triple_rejects_misshaped_maps(action, bnd1, bnd2, adj_bnd1, messag
         make_triple(action, bnd1, bnd2, adj_bnd1)
 
 
+@pytest.mark.parametrize("action, bnd1, bnd2, adj_bnd1, message", [
+    # m = 1, h = 0 and k = 2: two boundary rows on a one-dimensional domain
+    (np.ones((1, 1)), [], np.ones((2, 1)), np.zeros((2, 3)),
+     "primary boundary maps exceed domain dimension"),
+    # surjective [bnd1; bnd2], but adj_bnd2 cannot be derived through bnd1[:, m:] = 0
+    (np.ones((1, 2)), [[1.0, 0.0]], np.zeros((0, 2)), [],
+     "bnd1 defect block is singular; supply adj_bnd2 explicitly"),
+], ids=["k-above-m", "singular-defect-block"])
+def test_make_triple_refuses_unusable_boundary_maps(action, bnd1, bnd2, adj_bnd1, message):
+    with pytest.raises(WeylScopeError, match=message):
+        make_triple(action, bnd1, bnd2, adj_bnd1)
+
+
 def test_consistent_supplied_adjoint_map_accepted(triple):
     rebuilt = make_triple(triple.action, triple.bnd1, triple.bnd2,
                           triple.adj_bnd1, triple.adj_bnd2)
@@ -217,49 +229,52 @@ def test_random_triple_rejects_boundary_rows_beyond_state_dim(shape):
         random_triple(_NoDraws(), *shape)
 
 
+def _domain_basis(ext):
+    """Null-space oracle: orthonormal columns spanning ker(bnd1 - B bnd2), by svd."""
+    _, s, vh = np.linalg.svd(ext.constraint)
+    return vh[np.sum(s > 1e-12):].conj().T
+
+
 def test_extension_domain_no_bnd2(rng):
     # k = 0: the boundary condition reduces to ker(bnd1)
     tr = random_triple(rng, state_dim=4, h=1, k=0)
     ext = Extension(tr, np.zeros((1, 0)))
-    q, _ = extension_matrix(ext)
-    assert q.shape == (5, 4)
-    assert np.linalg.norm(tr.bnd1 @ q) < 1e-12
+    null = _domain_basis(ext)
+    assert null.shape == (5, 4)
+    assert np.linalg.norm(tr.bnd1 @ null) < 1e-12
+    op = extension_operator(ext)
+    assert np.linalg.norm(op @ null[:4] - tr.action @ null) < 1e-10
 
 
 def test_extension_domain_vacuous_constraint(rng):
-    tr = random_triple(rng, state_dim=4, h=1, k=1)
-    # bparam chosen so the constraint row cannot vanish for random maps;
-    # instead check the h = 0 route: no rows means the whole space
+    # h = 0: no constraint rows, so the domain is the whole space and the
+    # restriction is the square action itself
     tr0 = random_triple(rng, state_dim=4, h=0, k=1)
     ext0 = Extension(tr0, np.zeros((0, 1)))
-    q, _ = extension_matrix(ext0)
-    assert q.shape == (4, 4)
+    assert ext0.constraint.shape == (0, 4)
+    np.testing.assert_allclose(extension_operator(ext0), tr0.action, atol=1e-12)
 
 
 def test_extension_domain_dimension_oracle(rng, ext):
-    q, act = extension_matrix(ext)
+    # the operator maps the state values of every domain vector to its action
     tr = ext.triple
-    assert q.shape == (tr.dom_dim, tr.dom_dim - tr.h)
-    # independent null-space oracle via svd of the constraint
-    _, s, vh = np.linalg.svd(ext.constraint)
-    null = vh[len(s):].conj().T if ext.constraint.shape[0] else np.eye(tr.dom_dim)
-    null = vh[np.sum(s > 1e-12):].conj().T
-    from weylscope.numerics import principal_angles
-
-    assert np.max(principal_angles(q, null)) < 1e-10
-    np.testing.assert_allclose(act, tr.action @ q)
+    null = _domain_basis(ext)
+    assert null.shape == (tr.dom_dim, tr.dom_dim - tr.h)
+    op = extension_operator(ext)
+    assert op.shape == (tr.state_dim, tr.state_dim)
+    assert np.linalg.norm(op @ null[: tr.state_dim] - tr.action @ null) < 1e-10
 
 
 def test_resolvent_zero_rhs(ext):
     lam = 0.123 + 0.456j
-    x = resolvent_apply(ext, lam, np.zeros(ext.triple.state_dim))
+    x = resolvent_matrices(ext, lam)[0] @ np.zeros(ext.triple.state_dim)
     assert np.linalg.norm(x) == 0.0
 
 
 def test_resolvent_diagonal_no_boundary():
     tr = make_triple(np.diag([1.0, 2.0]), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
     ext = Extension(tr, np.zeros((0, 0)))
-    x = resolvent_apply(ext, 0.0, np.array([1.0, 1.0]))
+    x = resolvent_matrices(ext, 0.0)[0] @ np.array([1.0, 1.0])
     np.testing.assert_allclose(x, [1.0, 0.5])
 
 
@@ -267,7 +282,7 @@ def test_resolvent_defining_equation(rng, ext):
     tr = ext.triple
     lam = _safe_lambda(ext, rng)
     rhs = _rand_vec(rng, tr.state_dim)
-    x = resolvent_apply(ext, lam, rhs)
+    x = resolvent_matrices(ext, lam)[0] @ rhs
     assert np.linalg.norm(tr.action @ x - lam * x[: tr.state_dim] - rhs) < 1e-10
     assert np.linalg.norm(ext.constraint @ x) < 1e-10
 
@@ -275,7 +290,7 @@ def test_resolvent_defining_equation(rng, ext):
 def test_resolvent_rejects_spectrum(rng, ext):
     lam = extension_eigenvalues(ext)[0]
     with pytest.raises(WeylScopeError, match="is in the spectrum of the restriction"):
-        resolvent_apply(ext, complex(lam), np.ones(ext.triple.state_dim))
+        resolvent_matrices(ext, complex(lam))[0] @ np.ones(ext.triple.state_dim)
 
 
 def test_resolvent_rejects_an_exactly_singular_system(monkeypatch):
@@ -387,9 +402,9 @@ def test_solution_lift_independence(rng, ext):
     y = solution_basis(ext, lam) @ f
     for _ in range(2):
         w = np.linalg.lstsq(ext.constraint, f, rcond=None)[0]
-        w = w + extension_matrix(ext)[0] @ _rand_vec(rng, tr.dom_dim - tr.h)
+        w = w + _domain_basis(ext) @ _rand_vec(rng, tr.dom_dim - tr.h)
         resid = tr.action @ w - lam * w[: tr.state_dim]
-        corr = resolvent_apply(ext, lam, resid)
+        corr = resolvent_matrices(ext, lam)[0] @ resid
         lifted = w - corr
         assert np.linalg.norm(lifted - y) < 1e-9
 
@@ -483,6 +498,16 @@ def test_extension_operator_rejects_zero_state_domain_vector():
         extension_operator(ext)
     with pytest.raises(WeylScopeError, match="restriction domain holds a vector with zero state value"):
         extension_eigenvalues(ext)
+
+
+def test_extension_operator_rejects_a_domain_larger_than_the_state_space():
+    # built directly, bypassing make_triple: a zero bnd1 row constrains nothing,
+    # so the domain is all of C^(m + h)
+    action = np.hstack([np.eye(2), np.zeros((2, 1))])
+    tr = FiniteTriple(action=action, action_adj=np.eye(2), bnd1=np.zeros((1, 3)),
+                      bnd2=np.zeros((0, 3)), adj_bnd1=np.zeros((0, 2)), adj_bnd2=np.zeros((1, 2)))
+    with pytest.raises(WeylScopeError, match="restriction domain does not match the state dimension"):
+        extension_operator(Extension(tr, np.zeros((1, 0))))
 
 
 def test_adjoint_extension_is_matrix_adjoint(rng, ext):
