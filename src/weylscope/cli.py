@@ -21,7 +21,7 @@ import numpy as np
 
 from . import detect, firstorder, friedrichs, hainlust, triples
 from .errors import ConfigInvalidError, WeylScopeError
-from .numerics import ContourSpec, matrix_norm2, orthonormal_basis, principal_angles
+from .numerics import ContourSpec, matrix_norm2, principal_angles
 
 DEFAULT_SEED = 1729
 # check: residual tolerance per entry; --tol replaces all but morera-full,
@@ -297,9 +297,10 @@ def _suite_for_triple(rng, tr, tols):
           [triples.krein_residual(ext_b, ext_c, safe_point()) for _ in range(50)])
     entry("m-equality", "M-function versus resolvent route", [m_gap() for _ in range(20)])
 
-    _, t_cols, (s_space, shifted) = detect.saturated_spaces(ext_b, (0.0, 2.3j))
+    spec, t_space = detect.saturated_spaces(ext_b)
+    s_space, shifted = detect.krylov_spaces(ext_b, (spec.anchor, spec.anchor + 2.3j), False)
     entry("detection-angle", "solution span equals smoothed resolvent span",
-          principal_angles(s_space, orthonormal_basis(t_cols)))
+          principal_angles(s_space, t_space))
     entry("anchor-independence", "smoothed span independent of its anchor",
           principal_angles(shifted, s_space))
     entry("invariance", "resolvent invariance of the detection space",

@@ -1,18 +1,22 @@
 """Detection subspaces, bordered resolvents and contour analyticity tests.
 
-Two families of state-space subspaces are attached to a restriction: the
-span of its solution-operator ranges over resolvent points ("solution
-space") and the span of resolvent-smoothed ranges anchored at a fixed
-point ("resolvent space").  Their closures coincide and are the part of
-the state space that the M-function can see; compressing the resolvent
-between the adjoint-side and primary-side spaces removes the spectrum the
-M-function is blind to, which is what the contour (Morera-style) residuals
-check.  A space is the array of its orthonormal state-space columns (as
-orthonormal_basis returns them), so the bordered resolvent is S~^H R S.
+The M-function of a restriction sees two subspaces of the state space.  S
+is the controllable subspace of (A_B, S(anchor)): the smallest
+R_B-invariant subspace that contains the solution values at an anchor,
+which is the closed span of every solution range.  S~ is the observable
+subspace of (A_B, Gamma_2): the smallest R_B^H-invariant subspace that
+contains ran (Gamma_2 R_B)^H.  Since the adjoint side's solution values at
+conj(mu) are -(Gamma_2 R_B(mu))^H, S~ is the span of the adjoint solution
+ranges, built without the adjoint restriction.  The resolvent compressed
+between them, S~^H R S, is the minimal part of the restriction (Kalman): it
+keeps the spectrum M sees and drops the rest, which is what the contour
+(Morera-style) residuals check.  A space is the array of its orthonormal
+state-space columns (as orthonormal_basis returns them).
 
-Each sample point is factorized once: from its stacked inverse the
-saturation loop keeps the solution values it tests for rank and the
-resolvent images of the anchor blocks, so the plan, T and S are one pass.
+Both spaces are block Krylov spaces of one shifted resolvent R_B(sigma), so
+one stacked inverse gives both (krylov_spaces).  The solution span T,
+sampled at points on two circles until its rank is stable, is the
+independent second route: check tests that T lies in S.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .errors import WeylScopeError
 from .numerics import (
+    DEFAULT_RANK_TOL,
     ContourSpec,
     contour_integral,
     matrix_norm2,
@@ -32,7 +37,6 @@ from .numerics import (
 )
 from .triples import (
     Extension,
-    _stacked_inverse,
     adjoint_extension,
     extension_eigenvalues,
     resolvent_matrices,
@@ -43,7 +47,7 @@ from .triples import (
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 SPECTRUM_CLEARANCE = 1e-6
 CONTOUR_CLEARANCE = 1e-4
-# saturated_sampling: initial points, rank-stable additions to accept, point cap
+# saturated_spaces: initial points, rank-stable additions to accept, point cap
 SATURATION_START = 12
 SATURATION_STABLE_RUNS = 8
 SATURATION_MAX_POINTS = 200
@@ -53,13 +57,12 @@ SATURATION_MAX_POINTS = 200
 class SpaceSamplingSpec:
     """Sampling plan for the detection subspaces.
 
-    anchor is the fixed resolvent point the smoothed space is built from;
-    resolvent_samples feed the smoothed space, solution_samples the plain
-    solution span.  All points must keep clear of the spectrum.
+    anchor is the point whose solution values the Krylov space S starts
+    from; solution_samples are the points of the sampled solution span T.
+    All points must keep clear of the spectrum.
     """
 
     anchor: complex
-    resolvent_samples: tuple = field(default_factory=tuple)
     solution_samples: tuple = field(default_factory=tuple)
 
 
@@ -70,14 +73,15 @@ def _check_samples(ext: Extension, points, what: str):
 
 
 def _sample_stream(ext: Extension):
-    """(anchor, endless iterator of sample points) for the restriction.
+    """(anchor, Krylov shift sigma, endless iterator of sample points) for the restriction.
 
     Points alternate between two circles about the mean of the spectrum at
     golden-angle steps, which keeps added points from aliasing.  The radii
     are spread + 1 and twice that, spread the largest distance of an
-    eigenvalue from the mean, and the anchor lies 1.37 times the outer
-    radius above the mean: the anchor and every point keep distance at
-    least 1 from the spectrum.
+    eigenvalue from the mean; the anchor lies 1.37 times the outer radius
+    above the mean, and sigma 1.1 times the inner one.  The anchor and
+    every point keep distance at least 1 from the spectrum, sigma at least
+    1.1.
     """
     eigs = extension_eigenvalues(ext)
     if eigs.size:
@@ -93,90 +97,94 @@ def _sample_stream(ext: Extension):
             ang = GOLDEN_ANGLE * j
             yield complex(center + radii[j % 2] * np.exp(1j * ang))
 
-    return anchor, points()
+    return anchor, center + 1.1j * radii[0], points()
 
 
-def _side_by_side(ext: Extension, blocks) -> np.ndarray:
-    """State-space column blocks side by side; state_dim x 0 when there are none."""
-    return np.hstack(blocks) if blocks else np.zeros((ext.triple.state_dim, 0), dtype=complex)
+def _krylov_space(op: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the smallest op-invariant subspace that contains ran start.
+
+    Each block is op applied to the columns the block before added (the
+    first is start), orthogonalized column by column twice by classical
+    Gram-Schmidt against every kept column; a column whose residual is at
+    most DEFAULT_RANK_TOL |start|_2 is dropped.  The loop stops at an empty block
+    or once the basis fills the space.
+    """
+    m = start.shape[0]
+    cut = DEFAULT_RANK_TOL * matrix_norm2(start)
+    q = np.empty((m, m), dtype=complex, order="F")
+    kept, block = 0, start
+    while block.shape[1] and kept < m:
+        first = kept
+        for col in block.T:
+            for _ in range(2):
+                col = col - q[:, :kept] @ (q[:, :kept].conj().T @ col)
+            norm = np.linalg.norm(col)
+            if kept < m and norm > cut:
+                q[:, kept] = col / norm
+                kept += 1
+        block = op @ q[:, first:kept]
+    return q[:, :kept].copy()
 
 
-def _point_columns(ext: Extension, mu: complex, anchor_blocks=()):
-    """S(mu) state values (copied, not a view of the n x n inverse) and R_B(mu) @ a per block a."""
-    m = ext.triple.state_dim
-    inv = _stacked_inverse(ext, mu)
-    return inv[:m, m:].copy(), [inv[:m, :m] @ a for a in anchor_blocks]
+def krylov_spaces(ext: Extension, anchors, adjoint: bool) -> list:
+    """S at each anchor, then S~ when adjoint, all from one stacked inverse at sigma.
 
-
-def _anchor_blocks(ext: Extension, anchors) -> list:
-    """State values of the solution ranges at the anchors, the blocks R_B is applied to."""
+    S is the Krylov space of R_B(sigma) on the solution values at the
+    anchor, S~ that of R_B(sigma)^H on (Gamma_2 R_B(sigma))^H, Gamma_2 the
+    map bnd2 on domain coordinates; sigma is the sample stream's.
+    """
     _check_samples(ext, anchors, "anchor")
-    return [solution_basis(ext, z)[: ext.triple.state_dim] for z in anchors]
+    coords, rv = resolvent_matrices(ext, _sample_stream(ext)[1])
+    spaces = [_krylov_space(rv, solution_basis(ext, z)[: ext.triple.state_dim]) for z in anchors]
+    if adjoint:
+        spaces.append(_krylov_space(rv.conj().T, (ext.triple.bnd2 @ coords).conj().T))
+    return spaces
 
 
 def build_solution_space(ext: Extension, spec: SpaceSamplingSpec) -> np.ndarray:
-    """Orthonormal columns spanning the solution-operator ranges; the anchor is unused."""
+    """Orthonormal columns spanning the solution ranges at the samples; the anchor is unused."""
     _check_samples(ext, spec.solution_samples, "solution sample")
-    cols = [_point_columns(ext, mu)[0] for mu in spec.solution_samples]
-    return orthonormal_basis(_side_by_side(ext, cols))
+    m = ext.triple.state_dim
+    cols = [solution_basis(ext, mu)[:m] for mu in spec.solution_samples]
+    return orthonormal_basis(np.hstack(cols) if cols else np.zeros((m, 0), dtype=complex))
 
 
 def build_resolvent_space(ext: Extension, spec: SpaceSamplingSpec) -> np.ndarray:
-    """Orthonormal columns spanning the resolvent images of the anchor solution range."""
-    _check_samples(ext, spec.resolvent_samples, "resolvent sample")
-    anchor_vals = _anchor_blocks(ext, (spec.anchor,))
-    blocks = [_point_columns(ext, delta, anchor_vals)[1][0] for delta in spec.resolvent_samples]
-    return orthonormal_basis(_side_by_side(ext, blocks))
-
-
-def _adjoint_side(ext: Extension, spec: SpaceSamplingSpec):
-    """The adjoint-side restriction and the plan conjugated to keep clear of its spectrum."""
-    conj_spec = SpaceSamplingSpec(
-        anchor=np.conj(spec.anchor),
-        resolvent_samples=tuple(np.conj(z) for z in spec.resolvent_samples),
-        solution_samples=tuple(np.conj(z) for z in spec.solution_samples),
-    )
-    return adjoint_extension(ext), conj_spec
+    """S: the Krylov space of R_B(sigma) on the anchor's solution values; samples are unused."""
+    return krylov_spaces(ext, (spec.anchor,), False)[0]
 
 
 def build_adjoint_spaces(ext: Extension, spec: SpaceSamplingSpec):
-    """(resolvent, solution) spaces of the adjoint-side restriction at the conjugated plan."""
-    adj, conj_spec = _adjoint_side(ext, spec)
-    return build_resolvent_space(adj, conj_spec), build_solution_space(adj, conj_spec)
+    """(S~, T~): the observable space, and the adjoint solution span at the conjugated samples."""
+    conj_spec = SpaceSamplingSpec(np.conj(spec.anchor), tuple(np.conj(spec.solution_samples)))
+    return krylov_spaces(ext, (), True)[0], build_solution_space(adjoint_extension(ext), conj_spec)
 
 
-def saturated_spaces(ext: Extension, shifts=(0.0,)):
-    """(plan, T columns, S per shift), from one stacked inverse per point of the plan.
+def saturated_spaces(ext: Extension):
+    """(plan, T): the saturated sampling plan and its solution span, one stacked inverse a point.
 
     Points are taken one at a time from the sample stream, starting from
     SATURATION_START of them; the plan is accepted once the solution-span
     rank has not moved for SATURATION_STABLE_RUNS consecutive additions, or
-    at SATURATION_MAX_POINTS points.  orthonormal_basis of the T columns is
-    build_solution_space(ext, plan); S is build_resolvent_space(ext, plan)
-    with the anchor moved by the shift.
+    at SATURATION_MAX_POINTS points.  T is build_solution_space(ext, plan).
     """
-    anchor, stream = _sample_stream(ext)
-    anchor_vals = _anchor_blocks(ext, [anchor + shift for shift in shifts])
-    pts, cols, images = [], [], []
+    anchor, _, stream = _sample_stream(ext)
+    pts, cols = [], []
     rank, stable = None, 0
     while stable < SATURATION_STABLE_RUNS and len(pts) < SATURATION_MAX_POINTS:
         for mu in itertools.islice(stream, 1 if pts else SATURATION_START):
-            vals, imgs = _point_columns(ext, mu, anchor_vals)
             pts.append(mu)
-            cols.append(vals)
-            images.append(imgs)
+            cols.append(solution_basis(ext, mu)[: ext.triple.state_dim])
         block = np.hstack(cols)
         new_rank = numerical_rank(block)
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank
-    spec = SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
-                             solution_samples=tuple(pts))
-    return spec, block, [orthonormal_basis(np.hstack(per_shift)) for per_shift in zip(*images)]
+    return SpaceSamplingSpec(anchor=anchor, solution_samples=tuple(pts)), orthonormal_basis(block)
 
 
 def saturated_sampling(ext: Extension) -> SpaceSamplingSpec:
     """The sampling plan alone, grown until the solution-span rank is stable (saturated_spaces)."""
-    return saturated_spaces(ext, ())[0]
+    return saturated_spaces(ext)[0]
 
 
 def invariance_residual(q: np.ndarray, ext: Extension, mu: complex) -> float:
@@ -204,12 +212,12 @@ def full_contour_integral(ext: Extension, contour: ContourSpec) -> np.ndarray:
 def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> dict:
     """JSON-ready record comparing the bordered and full contour residuals.
 
-    The bordered residual is taken between S~ and S, the resolvent spaces of
-    the adjoint and of the primary side at the saturated plan; both
-    residuals come from one resolvent per contour node.
+    The bordered residual is taken between S~ and S, both from the one
+    inverse at sigma (krylov_spaces, S at the sample stream's anchor); both
+    residuals come from one resolvent per contour node, so a record takes
+    2 + nodes stacked factorizations.
     """
-    spec, _, (s_space,) = saturated_spaces(ext)
-    s_adj = build_resolvent_space(*_adjoint_side(ext, spec))
+    s_space, s_adj = krylov_spaces(ext, (_sample_stream(ext)[0],), True)
     full = full_contour_integral(ext, contour)
     return {
         "triple_id": triple_id,
@@ -220,6 +228,6 @@ def detection_record(ext: Extension, contour: ContourSpec, triple_id: str) -> di
         },
         "residual_bordered": matrix_norm2(s_adj.conj().T @ full @ s_space),
         "residual_full": matrix_norm2(full),
-        # T and Tadj, the solution-space dims, stay null until ROADMAP item 2 fills T
+        # null: the sampled spans T and Tadj would bring back the plan and the adjoint solves
         "dims": {"S": s_space.shape[1], "T": None, "Sadj": s_adj.shape[1], "Tadj": None},
     }

@@ -672,7 +672,8 @@ def _jump_norms(model: HLModel, n: int):
 
         def bordered(lam):
             eps = abs(lam.imag)
-            return float(np.max(2.0 * eps / ((mu - lam.real) ** 2 + eps**2)))
+            with np.errstate(over="ignore"):  # a distance past ~1.3e154 squares to inf: jump 0
+                return float(np.max(2.0 * eps / ((mu - lam.real) ** 2 + eps**2)))
     else:
         def bordered(lam):
             jump = _resolvent_dense(sub, lam) - _resolvent_dense(sub, np.conj(lam))

@@ -233,10 +233,14 @@ def triple_from_dict(data: dict) -> FiniteTriple:
         raw = data[key]
         if len(raw) != rows or any(len(r) != cols for r in raw):
             raise ValueError(f"field {key} has wrong shape")
-        out = np.zeros((rows, cols), dtype=complex)
-        for i, row in enumerate(raw):
-            for j, (re, im) in enumerate(row):
-                out[i, j] = complex(re, im)
+        try:  # a pair of another length does not fit; strings and null give no number dtype
+            pairs = np.array(raw).reshape(rows, cols, 2)
+        except ValueError:
+            pairs = None
+        if pairs is None or pairs.dtype.kind not in "biuf":
+            raise ValueError(f"field {key} has an entry that is not a pair of numbers")
+        out = np.empty((rows, cols), dtype=complex)
+        out.real, out.imag = pairs[..., 0], pairs[..., 1]
         if not np.isfinite(out).all():
             raise ValueError(f"field {key} has a non-finite entry")
         return out

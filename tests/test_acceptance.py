@@ -118,7 +118,6 @@ def test_criterion_04_detection_space_equality():
     for shift in (2.9j, -4.1j, 3.7):
         moved = detect.SpaceSamplingSpec(
             anchor=spec.anchor + shift,
-            resolvent_samples=spec.resolvent_samples,
             solution_samples=spec.solution_samples,
         )
         other = detect.build_resolvent_space(ext, moved)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -54,18 +55,18 @@ def test_check_default_suite_passes(tmp_path):
 
 
 def test_check_detection_block_factorizes_each_sample_point_once(monkeypatch, solve_calls):
-    # T, S and the S anchored 2.3i higher all come from the saturation loop's
-    # inverses: N + 2 stacked factorizations for a plan of N points (one per
-    # point, the anchor, the shifted anchor) instead of 4N + 2.  The other
-    # entries take hilbert 2 x 50, krein 2 x 50, m-equality 3 x 20 and
-    # invariance 5; the spectra are m x m and not counted.
+    # T comes from the saturation loop's inverses, one per point of a plan of N points;
+    # S and the S anchored 2.3i higher take one at each anchor and share one at the
+    # Krylov shift: N + 3 stacked factorizations.  The other entries take hilbert
+    # 2 x 50, krein 2 x 50, m-equality 3 x 20 and invariance 5; the spectra are m x m
+    # and not counted.
     rng = np.random.default_rng(7)
     tr = random_triple(rng, state_dim=6, h=2, k=2)
     plans = []
     sampled = detect.saturated_spaces
 
-    def recording(ext, shifts):
-        out = sampled(ext, shifts)
+    def recording(ext):
+        out = sampled(ext)
         plans.append(out[0])
         return out
 
@@ -74,7 +75,22 @@ def test_check_detection_block_factorizes_each_sample_point_once(monkeypatch, so
     (plan,) = plans
     n = tr.dom_dim
     stacked = sum(shape == (n, n) for shape in solve_calls)
-    assert stacked == 265 + len(plan.solution_samples) + 2
+    assert stacked == 265 + len(plan.solution_samples) + 3
+
+
+def test_check_passes_every_detection_entry_at_state_dim_40(tmp_path):
+    # the sampled S lost rank under the 1e-10 cut without a gap, so invariance and
+    # detection-angle failed on this correct triple
+    data = triple_to_dict(random_triple(np.random.default_rng(40), state_dim=40, h=2, k=2))
+    tf = tmp_path / "triple.json"
+    write_json(tf, data)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"triple": str(tf), "seed": 401})
+    out = tmp_path / "r.json"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("detection-angle", "anchor-independence", "invariance", "morera-bordered"):
+        assert checks[name]["pass"] and checks[name]["residual"] <= 1e-8, name
 
 
 def test_check_corrupted_triple_exits_2(tmp_path):
@@ -330,6 +346,15 @@ def _zero_boundary_triple():
                         adj_bnd1=zero, adj_bnd2=zero)
 
 
+NOT_A_PAIR = "field {} has an entry that is not a pair of numbers"
+
+
+def _entry(key, value):
+    def edit(data, config):
+        data[key][0][1] = value
+    return edit
+
+
 def _nan_entry(key):
     def edit(data, config):
         data[key][0][0][0] = NAN
@@ -348,8 +373,17 @@ def _nan_entry(key):
      r"bparam must be \(1, 1\), got \(1, 2\)"),
     ("check", lambda data, config: data.update(triple_to_dict(_zero_boundary_triple())),
      "stacked primary boundary maps not surjective"),
+    ("check", lambda data, config: data["action"][1].pop(), "field action has wrong shape"),
+    ("check", _entry("action", ["1.5", 0.0]), NOT_A_PAIR.format("action")),
+    ("check", _entry("bnd1", [0.5, "0"]), NOT_A_PAIR.format("bnd1")),
+    ("eig", _entry("action", [1.0, 2.0, 3.0]), NOT_A_PAIR.format("action")),
+    ("check", _entry("adj_bnd2", [1.0]), NOT_A_PAIR.format("adj_bnd2")),
+    ("check", _entry("action", None), NOT_A_PAIR.format("action")),
+    ("contour", _entry("action", [None, 0.0]), NOT_A_PAIR.format("action")),
 ], ids=["check-action_adj", "check-action", "eig-action", "contour-action", "check-schema-v2",
-        "check-action-row-dropped", "eig-bparam-1x2", "check-zero-boundary-maps"])
+        "check-action-row-dropped", "eig-bparam-1x2", "check-zero-boundary-maps",
+        "check-ragged-row", "check-numeric-string-re", "check-numeric-string-im",
+        "eig-three-numbers", "check-one-number", "check-null-pair", "contour-null-re"])
 def test_nonfinite_triple_file_exits_2(tmp_path, capsys, command, edit, message):
     # a NaN made the pairing test false (check passed) or raised LinAlgError; the
     # other triple-file refusals share the path
@@ -588,6 +622,25 @@ def test_hainlust_beyond_double_range_exits_1(tmp_path, capsys, command, q_imag,
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"check failed: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_scan_hainlust_far_eigenvalue_jump_is_zero_without_a_warning(tmp_path):
+    # (mu - re)^2 overflowed for an eigenvalue ~1e300 away from the grid point: a
+    # RuntimeWarning, so a traceback under warnings-as-errors, for a jump of 0
+    model = {"type": "hainlust",
+             "q": {"breaks": [0.0, 1.0], "coeffs": [[[-1e300, 0.0]]]},
+             "u": {"breaks": [0.0, 1.0], "coeffs": [[[5.0, 0.0]]]},
+             "w": {"breaks": [0.0, 1.0], "coeffs": [[[0.0, 0.0]]]},
+             "alpha": np.pi / 2, "beta": np.pi / 2}
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": model, "grid": {"re": [1.0, 1.0, 1], "eps": [0.1], "fd_n": 32}})
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["bordered_jump"]) == 0.0
 
 
 def test_contour_hidden_block_report(tmp_path):

@@ -20,6 +20,7 @@ from weylscope.detect import (
     detection_record,
     full_contour_integral,
     invariance_residual,
+    krylov_spaces,
     saturated_sampling,
     saturated_spaces,
 )
@@ -60,21 +61,19 @@ def hidden_ext(rng):
 
 
 def test_single_sample_space_dimension(ext):
+    # one sample spans h dimensions of T; the Krylov S does not read the samples
     spec = saturated_sampling(ext)
-    one = SpaceSamplingSpec(
-        anchor=spec.anchor,
-        resolvent_samples=spec.resolvent_samples[:1],
-        solution_samples=spec.solution_samples[:1],
-    )
+    one = SpaceSamplingSpec(anchor=spec.anchor, solution_samples=spec.solution_samples[:1])
     t_basis = build_solution_space(ext, one)
     s_basis = build_resolvent_space(ext, one)
     assert t_basis.shape[1] == ext.triple.h
-    assert s_basis.shape[1] == ext.triple.h
+    assert np.array_equal(s_basis, build_resolvent_space(ext, spec))
+    assert np.max(principal_angles(s_basis, t_basis)) < 1e-8
 
 
 def test_sample_in_spectrum_rejected(ext):
     lam = complex(extension_eigenvalues(ext)[0])
-    spec = SpaceSamplingSpec(anchor=10j, solution_samples=(lam,), resolvent_samples=(lam,))
+    spec = SpaceSamplingSpec(anchor=10j, solution_samples=(lam,))
     with pytest.raises(WeylScopeError, match="^solution sample point .* is within 1e-6 of the spectrum$"):
         build_solution_space(ext, spec)
 
@@ -90,8 +89,9 @@ def test_solution_space_ignores_anchor_on_spectrum(ext):
 
 def test_empty_sample_list(ext):
     spec = SpaceSamplingSpec(anchor=10j)
-    assert build_solution_space(ext, spec).shape[1] == 0
-    assert build_resolvent_space(ext, spec).shape[1] == 0
+    assert build_solution_space(ext, spec).shape == (ext.triple.state_dim, 0)
+    # S needs the anchor alone: here the state space, which a generic triple controls
+    assert build_resolvent_space(ext, spec).shape[1] == ext.triple.state_dim
 
 
 def test_rank_saturation(ext):
@@ -100,7 +100,6 @@ def test_rank_saturation(ext):
     # adding further points must not raise the rank
     bigger = SpaceSamplingSpec(
         anchor=spec.anchor,
-        resolvent_samples=spec.resolvent_samples,
         solution_samples=spec.solution_samples + (7.5j, -6.0 + 2.0j, 4.0 - 5.0j),
     )
     assert build_solution_space(ext, bigger).shape[1] == t_basis.shape[1]
@@ -110,7 +109,6 @@ def test_saturated_sampling_plan(ext):
     spec = saturated_sampling(ext)
     n = len(spec.solution_samples)
     assert 12 < n <= 200
-    assert spec.resolvent_samples == spec.solution_samples
     assert saturated_sampling(ext) == spec
     # golden-angle points alternating between two circles about the spectrum's mean
     eigs = extension_eigenvalues(ext)
@@ -135,12 +133,15 @@ def _seeded_extension(state_dim, hidden=None):
 @pytest.mark.parametrize("state_dim, hidden", [(6, None), (14, None), (40, None), (4, 25.0)],
                          ids=["random-6", "random-14", "random-40", "hidden-25"])
 def test_sample_stream_keeps_distance_one_from_the_spectrum(state_dim, hidden):
-    # the circles have radius >= spread + 1 about the spectrum's mean and the anchor lies
-    # beyond the outer one, so no point ever needs moving away from an eigenvalue
+    # the circles have radius >= spread + 1 about the spectrum's mean, the anchor lies
+    # beyond the outer one and sigma 1.1 times the inner radius above the mean, so no
+    # point ever needs moving away from an eigenvalue
     ext = _seeded_extension(state_dim, hidden)
-    anchor, stream = _sample_stream(ext)
+    anchor, sigma, stream = _sample_stream(ext)
     points = np.array([anchor, *itertools.islice(stream, 200)])
-    assert np.min(np.abs(points[:, None] - extension_eigenvalues(ext))) >= 1.0
+    eigs = extension_eigenvalues(ext)
+    assert np.min(np.abs(points[:, None] - eigs)) >= 1.0
+    assert np.min(np.abs(sigma - eigs)) >= 1.1
 
 
 def test_spectrum_computed_once_per_extension(monkeypatch, hidden_ext):
@@ -176,11 +177,8 @@ def test_solution_equals_resolvent_space(ext):
 def test_resolvent_space_anchor_independence(ext):
     spec = saturated_sampling(ext)
     for shift in (3.1j, -2.7j, 5.9):
-        other = SpaceSamplingSpec(
-            anchor=spec.anchor + shift,
-            resolvent_samples=spec.resolvent_samples,
-            solution_samples=spec.solution_samples,
-        )
+        other = SpaceSamplingSpec(anchor=spec.anchor + shift,
+                                  solution_samples=spec.solution_samples)
         a = build_resolvent_space(ext, spec)
         b = build_resolvent_space(ext, other)
         assert a.shape[1] == b.shape[1]
@@ -231,11 +229,7 @@ def test_invariance_full_space(ext):
 
 def test_invariance_unsaturated_space(hidden_ext):
     spec = saturated_sampling(hidden_ext)
-    one = SpaceSamplingSpec(
-        anchor=spec.anchor,
-        resolvent_samples=spec.resolvent_samples[:1],
-        solution_samples=spec.solution_samples[:1],
-    )
+    one = SpaceSamplingSpec(anchor=spec.anchor, solution_samples=spec.solution_samples[:1])
     basis = build_solution_space(hidden_ext, one)
     # probe at moderate distance: far-field resolvents are nearly scalar and
     # would mask the saturation defect
@@ -353,45 +347,131 @@ def test_detection_report_one_solve_per_node(hidden_ext, solve_calls):
 
 
 def test_detection_record_builds_only_s_and_s_adjoint(hidden_ext, solve_calls):
-    # S and S~ take one anchor solve and one solve per sample each, the
-    # residuals one per node; S comes from the inverses of the saturation
-    # loop itself, and the adjoint solution space is not built
+    # S and S~ share one stacked inverse at the shift sigma, S takes one more at its
+    # anchor and the residuals one per node: 2 + nodes factorizations in all, and no
+    # adjoint restriction is factorized
+    extension_eigenvalues(hidden_ext)
+    solve_calls.clear()
     contour = ContourSpec(center=25.0, radius=1.0, nodes=64)
     rec = detection_record(hidden_ext, contour, "demo")
     n = hidden_ext.triple.dom_dim
     assert hidden_ext.triple.adj_dom_dim == n
-    record_solves = sum(shape == (n, n) for shape in solve_calls)
+    assert solve_calls == [(n, n)] * (2 + 64)
     spec = saturated_sampling(hidden_ext)
-    assert record_solves == 2 * len(spec.solution_samples) + 2 + 64
     s_basis = build_resolvent_space(hidden_ext, spec)
     s_adj, _ = build_adjoint_spaces(hidden_ext, spec)
     full = full_contour_integral(hidden_ext, contour)
     assert rec["residual_bordered"] == matrix_norm2(s_adj.conj().T @ full @ s_basis)
     assert rec["residual_full"] == matrix_norm2(full)
-    # T and Tadj, the solution-space dims, are not reported yet
-    assert rec["dims"] == {"S": s_basis.shape[1], "T": None, "Sadj": s_adj.shape[1], "Tadj": None}
+    # the visible state space on both sides; T and Tadj, the sampled spans, are not built
+    assert rec["dims"] == {"S": 4, "T": None, "Sadj": 4, "Tadj": None}
 
 
 @pytest.mark.parametrize("state_dim, hidden", [(6, None), (30, None), (4, 25.0)],
                          ids=["random-6", "random-30", "hidden-25"])
 def test_saturated_spaces_equal_the_builders_bit_for_bit(state_dim, hidden, solve_calls):
-    # one pass over the plan yields T, S and S at a shifted anchor, each the
-    # same bits as its builder, from one factorization per point and anchor
+    # the saturation pass yields the plan and T, the same bits as the builders, from one
+    # factorization per point; S at two anchors takes one more per anchor and one at sigma
     ext = _seeded_extension(state_dim, hidden)
     extension_eigenvalues(ext)
     solve_calls.clear()
-    spec, t_cols, (s_space, shifted) = saturated_spaces(ext, (0.0, 2.3j))
-    assert len(solve_calls) == len(spec.solution_samples) + 2
+    spec, t_space = saturated_spaces(ext)
+    assert len(solve_calls) == len(spec.solution_samples)
     assert spec == saturated_sampling(ext)
-    assert np.array_equal(orthonormal_basis(t_cols), build_solution_space(ext, spec))
+    assert np.array_equal(t_space, build_solution_space(ext, spec))
+    solve_calls.clear()
+    s_space, shifted = krylov_spaces(ext, (spec.anchor, spec.anchor + 2.3j), False)
+    assert len(solve_calls) == 1 + 2
     assert np.array_equal(s_space, build_resolvent_space(ext, spec))
     moved = dataclasses.replace(spec, anchor=spec.anchor + 2.3j)
     assert np.array_equal(shifted, build_resolvent_space(ext, moved))
+    visible = ext.triple.state_dim - (hidden is not None)
+    assert s_space.shape[1] == shifted.shape[1] == visible
+
+
+def _clustered_extension(coupling, size=20, width=1e-4, hidden=25.0):
+    """B = 0 restriction of an upper bidiagonal chain whose eigenvalues lie within width of 2.
+
+    The boundary data enter at the chain's last coordinate and are read at its
+    first, so every eigenvalue is visible from both sides; a hidden block widens it.
+    """
+    diag = 2.0 + width * np.arange(size) / size
+    chain = np.diag(diag) + coupling * np.diag(np.ones(size - 1), 1)
+    action = np.hstack([chain, np.eye(size)[:, -1:]])
+    bnd1 = np.eye(size + 1)[-1:]
+    bnd2 = np.eye(size + 1)[:1]
+    tr = triples.make_triple(action, bnd1, bnd2, np.eye(size + 1)[-1:])
+    return Extension(direct_sum_hidden(tr, np.array([[hidden]])), np.zeros((1, 1))), diag
+
+
+@pytest.mark.parametrize("coupling", [1.0, 1e-7])
+def test_krylov_space_resolves_a_clustered_spectrum(coupling):
+    # the sampled spans lose rank on such a cluster; the Krylov S and S~ keep every
+    # visible dimension and none of the hidden one.  At coupling 1e-7 each Krylov
+    # step adds a residual near 1e-8 of |start|, which a cut far above 1e-10 drops
+    ext, diag = _clustered_extension(coupling)
+    assert np.ptp(diag) < 1e-4
+    s_space, s_adj = krylov_spaces(ext, (_sample_stream(ext)[0],), True)
+    assert s_space.shape[1] == s_adj.shape[1] == diag.size
+    for q in (s_space, s_adj):
+        assert np.max(np.abs(q[diag.size])) < 1e-10
+        for mu in (5.0 + 3.0j, -1.0 - 2.0j, 24.0 + 0.5j):
+            assert invariance_residual(q, ext, mu) <= 1e-8
+
+
+def _one_sided_extension(side):
+    """A hidden eigenvalue 25 that the boundary data reach but do not observe, or the reverse.
+
+    "reach" couples the visible state into the hidden one, "observe" the hidden state
+    into the visible ones; make_triple derives the adjoint side.
+    """
+    rng = np.random.default_rng(11)
+    tr = random_triple(rng, state_dim=12, h=2, k=2)
+    bparam = random_extension(rng, tr).bparam
+    wide = direct_sum_hidden(tr, np.array([[25.0]]))
+    action = np.array(wide.action)
+    coupling = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    if side == "reach":
+        action[12, :12] = coupling
+    else:
+        action[:12, 12] = coupling
+    return Extension(triples.make_triple(action, wide.bnd1, wide.bnd2, wide.adj_bnd1), bparam)
+
+
+@pytest.mark.parametrize("side, dims", [("reach", (13, 12)), ("observe", (12, 13))],
+                         ids=["reach", "observe"])
+def test_one_sided_hidden_eigenvalue_is_in_one_space_only(side, dims):
+    # S holds what the boundary data reach, S~ what they observe; the bordered
+    # resolvent is analytic at the hidden eigenvalue either way
+    ext = _one_sided_extension(side)
+    rec = detection_record(ext, ContourSpec(center=25.0, radius=1.0, nodes=64), side)
+    assert (rec["dims"]["S"], rec["dims"]["Sadj"]) == dims
+    assert rec["residual_bordered"] <= 1e-8
+    assert rec["residual_full"] > 0.1
+    # the sampled spans agree at this size: T with S, the adjoint solution span with S~
+    spec = saturated_sampling(ext)
+    s_adj, t_adj = build_adjoint_spaces(ext, spec)
+    for krylov, sampled in ((build_resolvent_space(ext, spec), build_solution_space(ext, spec)),
+                            (s_adj, t_adj)):
+        assert krylov.shape == sampled.shape
+        assert np.max(principal_angles(krylov, sampled)) < 1e-8
+
+
+@pytest.mark.parametrize("h, k", [(0, 2), (2, 0)], ids=["h0", "k0"])
+def test_no_boundary_data_on_a_side_gives_an_empty_space(h, k):
+    rng = np.random.default_rng(5)
+    tr = random_triple(rng, state_dim=6, h=h, k=k)
+    ext = Extension(direct_sum_hidden(tr, np.array([[25.0]])), random_extension(rng, tr).bparam)
+    rec = detection_record(ext, ContourSpec(center=25.0, radius=1.0, nodes=32), "empty")
+    assert rec["dims"]["S"] == (0 if h == 0 else 6)
+    assert rec["dims"]["Sadj"] == (0 if k == 0 else 6)
+    assert rec["residual_bordered"] == 0.0
+    assert rec["residual_full"] > 0.1
 
 
 def _reference_plan(ext):
     """saturated_sampling with the rank taken as orthonormal_basis(cols).shape[1]."""
-    anchor, stream = _sample_stream(ext)
+    anchor, _, stream = _sample_stream(ext)
 
     def columns(points):
         return [solution_basis(ext, mu)[: ext.triple.state_dim] for mu in points]
@@ -406,8 +486,7 @@ def _reference_plan(ext):
         new_rank = orthonormal_basis(cols).shape[1]
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank
-    return SpaceSamplingSpec(anchor=anchor, resolvent_samples=tuple(pts),
-                             solution_samples=tuple(pts))
+    return SpaceSamplingSpec(anchor=anchor, solution_samples=tuple(pts))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

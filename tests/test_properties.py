@@ -1,4 +1,4 @@
-"""Property tests: the pairing, Krein and M-route identities on random triples.
+"""Property tests: the pairing, Krein, M-route and adjoint-solution identities on random triples.
 
 Each test draws the shape (state dimension m, boundary dimensions h and k),
 whether the triple and its boundary parameters are real, and a seed for the
@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylscope import triples
-from weylscope.numerics import matrix_norm2
+from weylscope import detect, triples
+from weylscope.numerics import matrix_norm2, principal_angles
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -90,3 +90,38 @@ def test_m_function_routes_agree(shape, real, seed, lam, lam0):
     scale = 1.0 + matrix_norm2(direct) + matrix_norm2(triples.resolvent_matrices(ext, lam)[1])
     gap = direct - triples.m_via_resolvent(ext, lam, lam0)
     assert matrix_norm2(gap) <= 1e-10 * scale
+
+
+@st.composite
+def detection_shapes(draw):
+    m = draw(st.integers(3, 30))
+    return m, draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+
+@PROPERTY_SETTINGS
+@given(shape=detection_shapes(), real=st.booleans(), hidden=st.booleans(), seed=seeds,
+       lam=points)
+@example(shape=(12, 2, 2), real=False, hidden=True, seed=1, lam=(0.5, 3.5))
+@example(shape=(6, 0, 3), real=True, hidden=True, seed=2, lam=(0.5, 3.5))
+@example(shape=(30, 3, 0), real=False, hidden=False, seed=3, lam=(0.5, 3.5))
+def test_adjoint_solutions_are_the_observable_columns(shape, real, hidden, seed, lam):
+    # values(solution_basis(adjoint_extension(ext), conj lam)) = -(Gamma_2 R_B(lam))^H:
+    # the oracle for S~, which is built from the primary restriction alone; and the
+    # Krylov S~ holds the adjoint solution span sampled on the adjoint restriction
+    tr, rng = _triple(shape, real, seed)
+    ext = triples.random_extension(rng, tr, real=real)
+    if hidden:
+        ext = triples.Extension(triples.direct_sum_hidden(tr, np.array([[25.0]])), ext.bparam)
+    lam = complex(*lam)
+    if triples.spectrum_distance(ext, lam) > CLEARANCE:
+        coords, _ = triples.resolvent_matrices(ext, lam)
+        observed = -(ext.triple.bnd2 @ coords).conj().T
+        adjoint_ext = triples.adjoint_extension(ext)
+        adjoint = triples.solution_basis(adjoint_ext, np.conj(lam))[: ext.triple.state_dim]
+        # worst of 400 seeded cases 5.1e-12 of both sides, on a real triple with h < k
+        size = matrix_norm2(adjoint) + matrix_norm2(observed)
+        assert matrix_norm2(adjoint - observed) <= 3e-8 * size
+    s_adj, t_adj = detect.build_adjoint_spaces(ext, detect.saturated_sampling(ext))
+    assert t_adj.shape[1] <= s_adj.shape[1]
+    angles = principal_angles(s_adj, t_adj)
+    assert angles.size == t_adj.shape[1] and np.max(angles, initial=0.0) <= 1e-8

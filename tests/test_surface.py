@@ -10,6 +10,7 @@ UNREACHED = (
     "m_matrix",  # the first example's M; a test-side copy would call the private _shoot_m
     "cauchy_transform",  # the same for the private _cauchy_at
     "build_adjoint_spaces",  # criteria 04 and 05 call it; ROADMAP item 2 keeps its signature
+    "build_resolvent_space",  # the same; commands call krylov_spaces, which shares one inverse
     "reducing_residual",  # ROADMAP item 6 will report it for the Hain-Lust triple
     "green_pair_residual",  # ROADMAP item 10 will report it in the ex reports
     "saturated_sampling",  # the plan alone, which criteria 04 and 05 read
